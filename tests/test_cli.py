@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, and exit codes."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def test_bad_inline_series_is_error(capsys):
 
 
 # --------------------------------------------------------------- invariants
+
+
+# stdout and exit code of fixed commands, recorded once from a known-good build
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_report(capsys, monkeypatch, case):
+    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out.encode() == case["stdout"].encode()
 
 
 def test_reports_are_byte_identical(tmp_path):
