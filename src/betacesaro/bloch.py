@@ -8,7 +8,6 @@ masquerades as seminorm mass.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,6 +101,14 @@ class SeminormEstimate:
     max_tail: float
     n_excluded: int = 0
 
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "argmax": [self.argmax.real, self.argmax.imag],
+            "max_tail": self.max_tail,
+            "n_excluded": self.n_excluded,
+        }
+
 
 @dataclass(frozen=True)
 class ProbeVerdict:
@@ -190,21 +197,3 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
             passed = False
     return ProbeVerdict(passed=passed, worst_margin=worst, argworst=argworst)
 
-
-def grid_records(f: PowerSeries, p: BlochParams, g: SampleGrid):
-    """Per-grid-point rows (r, theta, weight, |f'|, product) for export."""
-    d = ps_derivative(f)
-    vals = np.abs(eval_on_points(d, g.points))
-    w = g.weights(p.alpha)
-    rows = []
-    for i, r in enumerate(g.radii):
-        for j, theta in enumerate(g.angles):
-            rows.append((float(r), float(theta), float(w[i]), float(vals[i, j]), float(w[i] * vals[i, j])))
-    return rows
-
-
-def write_grid_csv(path, f: PowerSeries, p: BlochParams, g: SampleGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "weight", "abs_fprime", "product"])
-        writer.writerows(grid_records(f, p, g))

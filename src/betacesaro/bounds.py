@@ -7,8 +7,6 @@ radial profile, since every certified bound depends on |z| only.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -107,8 +105,8 @@ class Classification:
     def bounded(self) -> bool:
         return "Bounded" in self.verdict
 
-    def to_json(self) -> str:
-        return json.dumps({"verdict": "+".join(self.verdict), "source": " / ".join(self.source)})
+    def to_dict(self) -> dict:
+        return {"verdict": "+".join(self.verdict), "source": " / ".join(self.source)}
 
 
 def classify(alpha: float, beta: float) -> Classification:
@@ -159,22 +157,14 @@ class ProbeReport:
     log_coefficient: float = 0.0
     labels: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": [[t, v] for t, v in self.samples],
-                "fitted_exponent": self.fitted_exponent,
-                "log_coefficient": self.log_coefficient,
-                "verdict": self.verdict,
-                "labels": list(self.labels),
-            }
-        )
-
-    def samples_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            writer.writerows(self.samples)
+    def to_dict(self) -> dict:
+        return {
+            "samples": [[float(t), float(v)] for t, v in self.samples],
+            "fitted_exponent": self.fitted_exponent,
+            "log_coefficient": self.log_coefficient,
+            "verdict": self.verdict,
+            "labels": list(self.labels),
+        }
 
 
 def _fit_divergence(ts, values):
@@ -243,6 +233,8 @@ def default_probe_ts(t_max: float = 0.9999, n: int = 12) -> list[float]:
     (1+t)-factors of the probe quantities are effectively constant and do
     not bias the fitted exponent.
     """
+    if not 0 < t_max < 1:
+        raise DomainError("t_max must lie in (0, 1)")
     lmax = -math.log1p(-t_max)
     lmin = min(-math.log1p(-0.9), 0.5 * lmax)
     return [1.0 - math.exp(-(lmin + (lmax - lmin) * k / (n - 1))) for k in range(n)]

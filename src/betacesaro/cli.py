@@ -8,11 +8,13 @@ probe verdict fails its expected check.
 from __future__ import annotations
 
 import argparse
-import io
 import csv
+import io
 import json
+import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,25 @@ class _UsageError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
+
+
+def _float_list(text: str) -> str:
+    """The argparse type of comma-separated float lists; the text is kept as
+    given so that the report config echoes it."""
+    for item in text.split(","):
+        _finite_float(item)
+    return text
+
+
 def _default_order() -> int:
     try:
         return int(os.environ.get("BCL_DEFAULT_N", DEFAULT_ORDER))
@@ -65,17 +86,19 @@ def _default_order() -> int:
         return DEFAULT_ORDER
 
 
-def _series_from_args(args, attr="f", pad=False) -> PowerSeries:
-    path = getattr(args, f"{attr}_file", None)
-    inline = getattr(args, attr, None)
-    if path:
-        with open(path) as fh:
+def _order(args) -> int:
+    return args.order or _default_order()
+
+
+def _series_from_args(args, pad=False) -> PowerSeries:
+    if args.f_file:
+        with open(args.f_file) as fh:
             data = json.load(fh)
         pairs = data["coeffs"] if isinstance(data, dict) else data
-    elif inline:
-        pairs = json.loads(inline)
+    elif args.f:
+        pairs = json.loads(args.f)
     else:
-        raise _UsageError(f"missing series input --{attr} or --{attr}-file")
+        raise _UsageError("missing series input --f or --f-file")
     f = PowerSeries.from_pairs(pairs)
     if pad:
         # pad polynomials so trailing zeros mark them tail-free on the grid
@@ -84,112 +107,16 @@ def _series_from_args(args, attr="f", pad=False) -> PowerSeries:
 
 
 def _symbol_from_args(args) -> SymbolGBeta:
-    if getattr(args, "symbol", None):
+    if args.symbol:
         with open(args.symbol) as fh:
             return SymbolGBeta.from_json(fh.read())
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         return SymbolGBeta.beta_cesaro(args.beta)
     raise _UsageError("missing --symbol or --beta")
 
 
 def _grid_from_args(args):
     return default_grid(args.grid_radial, args.grid_angular, args.rmax)
-
-
-def _series_pairs(f: PowerSeries):
-    return [[c.real, c.imag] for c in f.coeffs]
-
-
-def _emit(args, config: dict, result: dict, csv_rows=None, csv_header=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if csv_header:
-            writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        report = {"schema": SCHEMA, "config": config, "result": result}
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_common(sp, grid=False, symbol=False, series=False, order=False):
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    if grid:
-        sp.add_argument("--grid-radial", type=int, default=64)
-        sp.add_argument("--grid-angular", type=int, default=128)
-        sp.add_argument("--rmax", type=float, default=0.999)
-    if symbol:
-        sp.add_argument("--symbol", default=None, help="symbol JSON file")
-        sp.add_argument("--beta", type=float, default=None)
-    if series:
-        sp.add_argument("--f", default=None, help="inline JSON coefficient list")
-        sp.add_argument("--f-file", dest="f_file", default=None)
-    if order:
-        sp.add_argument("--N", dest="order", type=int, default=None)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="betacesaro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("seminorm", help="estimate the weighted-derivative seminorm")
-    sp.add_argument("--alpha", type=float, required=True)
-    _add_common(sp, grid=True, series=True)
-
-    sp = sub.add_parser("apply", help="apply the operator to a series")
-    _add_common(sp, symbol=True, series=True, order=True)
-
-    sp = sub.add_parser("matrix", help="coefficient matrix of the operator")
-    _add_common(sp, symbol=True, order=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues of the truncated matrix")
-    _add_common(sp, symbol=True, order=True)
-
-    sp = sub.add_parser("eigenfunction", help="candidate eigenfunction factor")
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp, symbol=True, order=True)
-
-    sp = sub.add_parser("classify", help="bounded/unbounded/compact verdict")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("bound", help="certified operator-norm constant")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    _add_common(sp)
-
-    sp = sub.add_parser("counterexample", help="divergence probe along (0, 1)")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--which", choices=["Ex26", "Ex27", "Ex28"], required=True)
-    sp.add_argument("--tmax", type=float, default=0.9999)
-    _add_common(sp)
-
-    sp = sub.add_parser("compactness", help="null-family image-norm decay probe")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--kind", choices=["monomial", "dilation"], default="monomial")
-    sp.add_argument("--m-max", dest="m_max", type=int, default=32)
-    _add_common(sp, grid=True, symbol=True)
-
-    sp = sub.add_parser("essnorm", help="distance to dilation approximants")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument(
-        "--dilations", default="0.5,0.9,0.99,0.999", help="comma-separated, increasing"
-    )
-    _add_common(sp, grid=True, symbol=True)
-
-    sp = sub.add_parser("preimage", help="explicit preimage under the Cesaro operator")
-    _add_common(sp, series=True)
-
-    return parser
 
 
 def _config_of(args) -> dict:
@@ -199,166 +126,237 @@ def _config_of(args) -> dict:
     return cfg
 
 
-def _run(args) -> int:
-    cfg = _config_of(args)
+def _emit(args, result: dict, csv_view) -> None:
+    if args.format == "csv":
+        header, rows = csv_view
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        report = {"schema": SCHEMA, "config": _config_of(args), "result": result}
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
-    if args.command == "seminorm":
-        f = _series_from_args(args, pad=True)
-        grid = _grid_from_args(args)
-        est = seminorm_estimate(f, BlochParams(args.alpha), grid)
-        _emit(
-            args,
-            cfg,
-            {
-                "value": est.value,
-                "argmax": [est.argmax.real, est.argmax.imag],
-                "max_tail": est.max_tail,
-                "n_excluded": est.n_excluded,
-            },
-            csv_rows=[[est.value, est.argmax.real, est.argmax.imag, est.max_tail]],
-            csv_header=["value", "argmax_re", "argmax_im", "max_tail"],
-        )
-        return EXIT_OK
 
-    if args.command == "apply":
-        f = _series_from_args(args)
-        if args.order is not None:
-            f = f.truncate(args.order)
-        out = apply_generalized(f, _symbol_from_args(args))
-        _emit(
-            args,
-            cfg,
-            {"coeffs": _series_pairs(out)},
-            csv_rows=[[n, c.real, c.imag] for n, c in enumerate(out.coeffs)],
-            csv_header=["n", "re", "im"],
-        )
-        return EXIT_OK
+# -- commands ----------------------------------------------------------------
 
-    if args.command == "matrix":
-        n = args.order or _default_order()
-        m = operator_matrix(_symbol_from_args(args), n)
-        rows = [
-            [f"{c.real!r}" if c.imag == 0 else f"{c.real!r}{c.imag:+}j" for c in row]
-            for row in m.entries
-        ]
-        _emit(
-            args,
-            cfg,
-            {"size": m.size, "entries": [[[c.real, c.imag] for c in row] for row in m.entries]},
-            csv_rows=rows,
-        )
-        return EXIT_OK
 
-    if args.command == "spectrum":
-        n = args.order or _default_order()
-        spec = truncated_spectrum(operator_matrix(_symbol_from_args(args), n))
-        _emit(
-            args,
-            cfg,
-            {"eigenvalues": [[ev.real, ev.imag] for ev in spec]},
-            csv_rows=[[ev.real, ev.imag] for ev in spec],
-            csv_header=["re", "im"],
-        )
-        return EXIT_OK
+def _series_csv(f: PowerSeries):
+    return ["n", "re", "im"], [[n, c.real, c.imag] for n, c in enumerate(f.coeffs)]
 
-    if args.command == "eigenfunction":
-        n = args.order or _default_order()
-        psi = eigenfunction_psi(_symbol_from_args(args), args.n, n)
-        _emit(
-            args,
-            cfg,
-            {"coeffs": _series_pairs(psi)},
-            csv_rows=[[k, c.real, c.imag] for k, c in enumerate(psi.coeffs)],
-            csv_header=["n", "re", "im"],
-        )
-        return EXIT_OK
 
-    if args.command == "classify":
-        c = classify(args.alpha, args.beta)
-        _emit(
-            args,
-            cfg,
-            {"verdict": "+".join(c.verdict), "source": " / ".join(c.source)},
-            csv_rows=[["+".join(c.verdict), " / ".join(c.source)]],
-            csv_header=["verdict", "source"],
-        )
-        return EXIT_OK
+def _seminorm(args):
+    f = _series_from_args(args, pad=True)
+    est = seminorm_estimate(f, BlochParams(args.alpha), _grid_from_args(args))
+    row = [est.value, est.argmax.real, est.argmax.imag, est.max_tail]
+    return est.to_dict(), (["value", "argmax_re", "argmax_im", "max_tail"], [row]), EXIT_OK
 
-    if args.command == "bound":
-        value = bound_constant(args.alpha, args.beta)
-        _emit(args, cfg, {"constant": value}, csv_rows=[[value]], csv_header=["constant"])
-        return EXIT_OK
 
-    if args.command == "counterexample":
-        report = counterexample_probe(
-            args.alpha, args.beta, args.which, default_probe_ts(args.tmax)
-        )
-        _emit(
-            args,
-            cfg,
-            json.loads(report.to_json()),
-            csv_rows=list(report.samples),
-            csv_header=["t", "value"],
-        )
-        return EXIT_OK if report.verdict == "diverges" else EXIT_VERDICT
+def _apply(args):
+    f = _series_from_args(args)
+    if args.order is not None:
+        f = f.truncate(args.order)
+    out = apply_generalized(f, _symbol_from_args(args))
+    return out.to_dict(), _series_csv(out), EXIT_OK
 
-    if args.command == "compactness":
-        p = BlochParams(args.alpha)
-        grid = _grid_from_args(args)
-        fam = null_family(args.kind, args.m_max, p, grid)
-        report = compactness_probe(_symbol_from_args(args), p, fam, grid)
-        _emit(
-            args,
-            cfg,
-            json.loads(report.to_json()),
-            csv_rows=list(report.samples),
-            csv_header=["m", "image_norm"],
-        )
-        return EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
 
-    if args.command == "essnorm":
-        p = BlochParams(args.alpha)
-        grid = _grid_from_args(args)
-        dilations = [float(t) for t in args.dilations.split(",")]
-        family = default_test_family(p, grid)
-        report = essential_norm_probe(_symbol_from_args(args), p, dilations, family, grid)
-        result = json.loads(report.to_json())
-        result["per_dilation"] = [
-            {"dilation": d, "max_distance": v, "argmax_member": lab}
-            for (d, v), lab in zip(report.samples, report.labels)
-        ]
-        _emit(
-            args,
-            cfg,
-            result,
-            csv_rows=list(report.samples),
-            csv_header=["dilation", "max_distance"],
-        )
-        return EXIT_OK if report.verdict != "inconsistent" else EXIT_VERDICT
+def _matrix(args):
+    m = operator_matrix(_symbol_from_args(args), _order(args))
+    entries = [[[c.real, c.imag] for c in row] for row in m.entries.tolist()]
+    rows = [
+        [f"{c.real!r}" if c.imag == 0 else f"{c.real!r}{c.imag:+}j" for c in row]
+        for row in m.entries
+    ]
+    return {"size": m.size, "entries": entries}, (None, rows), EXIT_OK
 
-    if args.command == "preimage":
-        g = _series_from_args(args)
-        f = preimage_under_cesaro(g)
-        roundtrip = apply_beta_cesaro(f, 1.0)
-        n = min(g.order, roundtrip.order)
-        err = float(np.max(np.abs(roundtrip.coeffs[: n + 1] - g.coeffs[: n + 1])))
-        _emit(
-            args,
-            cfg,
-            {"coeffs": _series_pairs(f), "roundtrip_max_error": err},
-            csv_rows=[[k, c.real, c.imag] for k, c in enumerate(f.coeffs)],
-            csv_header=["n", "re", "im"],
-        )
-        return EXIT_OK if err <= 1e-10 else EXIT_VERDICT
 
-    raise _UsageError(f"unknown command {args.command!r}")
+def _spectrum(args):
+    spec = truncated_spectrum(operator_matrix(_symbol_from_args(args), _order(args)))
+    pairs = [[ev.real, ev.imag] for ev in spec]
+    return {"eigenvalues": pairs}, (["re", "im"], pairs), EXIT_OK
+
+
+def _eigenfunction(args):
+    psi = eigenfunction_psi(_symbol_from_args(args), args.n, _order(args))
+    return psi.to_dict(), _series_csv(psi), EXIT_OK
+
+
+def _classify(args):
+    c = classify(args.alpha, args.beta).to_dict()
+    return c, (["verdict", "source"], [[c["verdict"], c["source"]]]), EXIT_OK
+
+
+def _bound(args):
+    value = bound_constant(args.alpha, args.beta)
+    return {"constant": value}, (["constant"], [[value]]), EXIT_OK
+
+
+def _counterexample(args):
+    report = counterexample_probe(args.alpha, args.beta, args.which, default_probe_ts(args.tmax))
+    code = EXIT_OK if report.verdict == "diverges" else EXIT_VERDICT
+    return report.to_dict(), (["t", "value"], report.samples), code
+
+
+def _compactness(args):
+    p = BlochParams(args.alpha)
+    grid = _grid_from_args(args)
+    fam = null_family(args.kind, args.m_max, p, grid)
+    report = compactness_probe(_symbol_from_args(args), p, fam, grid)
+    code = EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
+    return report.to_dict(), (["m", "image_norm"], report.samples), code
+
+
+def _essnorm(args):
+    p = BlochParams(args.alpha)
+    grid = _grid_from_args(args)
+    dilations = [float(t) for t in args.dilations.split(",")]
+    family = default_test_family(p, grid)
+    report = essential_norm_probe(_symbol_from_args(args), p, dilations, family, grid)
+    result = report.to_dict()
+    result["per_dilation"] = [
+        {"dilation": d, "max_distance": v, "argmax_member": lab}
+        for (d, v), lab in zip(report.samples, report.labels)
+    ]
+    code = EXIT_OK if report.verdict != "inconsistent" else EXIT_VERDICT
+    return result, (["dilation", "max_distance"], report.samples), code
+
+
+def _preimage(args):
+    g = _series_from_args(args)
+    f = preimage_under_cesaro(g)
+    roundtrip = apply_beta_cesaro(f, 1.0)
+    n = min(g.order, roundtrip.order)
+    err = float(np.max(np.abs(roundtrip.coeffs[: n + 1] - g.coeffs[: n + 1])))
+    code = EXIT_OK if err <= 1e-10 else EXIT_VERDICT
+    return {**f.to_dict(), "roundtrip_max_error": err}, _series_csv(f), code
+
+
+# -- command table -----------------------------------------------------------
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_OUTPUT = (
+    _arg("--out", help="output path (default stdout)"),
+    _arg("--format", choices=["json", "csv"], default="json"),
+)
+_GRID = (
+    _arg("--grid-radial", type=int, default=64),
+    _arg("--grid-angular", type=int, default=128),
+    _arg("--rmax", type=_finite_float, default=0.999),
+)
+_SYMBOL = (
+    _arg("--symbol", help="symbol JSON file"),
+    _arg("--beta", type=_finite_float),
+)
+_SERIES = (
+    _arg("--f", help="inline JSON coefficient list"),
+    _arg("--f-file"),
+)
+_ORDER = _arg("--N", dest="order", type=int)
+_ALPHA = _arg("--alpha", type=_finite_float, required=True)
+_BETA = _arg("--beta", type=_finite_float, required=True)
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple
+    run: Callable  # args -> (result, (csv header, csv rows), exit status)
+
+
+COMMANDS = {
+    "seminorm": _Command(
+        "estimate the weighted-derivative seminorm",
+        (_ALPHA, *_OUTPUT, *_GRID, *_SERIES),
+        _seminorm,
+    ),
+    "apply": _Command(
+        "apply the operator to a series", (*_OUTPUT, *_SYMBOL, *_SERIES, _ORDER), _apply
+    ),
+    "matrix": _Command(
+        "coefficient matrix of the operator", (*_OUTPUT, *_SYMBOL, _ORDER), _matrix
+    ),
+    "spectrum": _Command(
+        "eigenvalues of the truncated matrix", (*_OUTPUT, *_SYMBOL, _ORDER), _spectrum
+    ),
+    "eigenfunction": _Command(
+        "candidate eigenfunction factor",
+        (_arg("--n", type=int, required=True), *_OUTPUT, *_SYMBOL, _ORDER),
+        _eigenfunction,
+    ),
+    "classify": _Command("bounded/unbounded/compact verdict", (_ALPHA, _BETA, *_OUTPUT), _classify),
+    "bound": _Command("certified operator-norm constant", (_ALPHA, _BETA, *_OUTPUT), _bound),
+    "counterexample": _Command(
+        "divergence probe along (0, 1)",
+        (
+            _ALPHA,
+            _BETA,
+            _arg("--which", choices=["Ex26", "Ex27", "Ex28"], required=True),
+            _arg("--tmax", type=_finite_float, default=0.9999),
+            *_OUTPUT,
+        ),
+        _counterexample,
+    ),
+    "compactness": _Command(
+        "null-family image-norm decay probe",
+        (
+            _ALPHA,
+            _arg("--kind", choices=["monomial", "dilation"], default="monomial"),
+            _arg("--m-max", dest="m_max", type=int, default=32),
+            *_OUTPUT,
+            *_GRID,
+            *_SYMBOL,
+        ),
+        _compactness,
+    ),
+    "essnorm": _Command(
+        "distance to dilation approximants",
+        (
+            _ALPHA,
+            _arg(
+                "--dilations",
+                type=_float_list,
+                default="0.5,0.9,0.99,0.999",
+                help="comma-separated, increasing",
+            ),
+            *_OUTPUT,
+            *_GRID,
+            *_SYMBOL,
+        ),
+        _essnorm,
+    ),
+    "preimage": _Command(
+        "explicit preimage under the Cesaro operator", (*_OUTPUT, *_SERIES), _preimage
+    ),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="betacesaro", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.arguments:
+            sp.add_argument(*flags, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        result, csv_view, code = COMMANDS[args.command].run(args)
+        _emit(args, result, csv_view)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

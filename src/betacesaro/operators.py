@@ -8,7 +8,6 @@ which is the core exactness guarantee of this module.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,12 +131,6 @@ class OperatorMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.entries:
-                writer.writerow([f"{c.real!r}{c.imag:+}j" for c in row])
-
 
 def operator_matrix(s: SymbolGBeta, n: int) -> OperatorMatrix:
     if n < 1:
@@ -185,18 +178,16 @@ class SpectrumReport:
     per_term: tuple[tuple[float, bool], ...]  # (Re(a_j/g(0)), ok) per term
     note: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base": [self.base.real, self.base.imag],
-                "leading": [[ev.real, ev.imag] for ev in self.leading],
-                "empty": self.empty,
-                "covered": self.covered,
-                "admissible": self.admissible,
-                "per_term": [{"re_ratio": r, "ok": ok} for r, ok in self.per_term],
-                "note": self.note,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "base": [self.base.real, self.base.imag],
+            "leading": [[ev.real, ev.imag] for ev in self.leading],
+            "empty": self.empty,
+            "covered": self.covered,
+            "admissible": self.admissible,
+            "per_term": [{"re_ratio": r, "ok": ok} for r, ok in self.per_term],
+            "note": self.note,
+        }
 
 
 def point_spectrum(s: SymbolGBeta, alpha: float, leading: int = 16) -> SpectrumReport:

@@ -8,7 +8,7 @@ basis, so truncation commutes with them).
 """
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,24 +87,28 @@ class PowerSeries:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [[c.real, c.imag] for c in self.coeffs]})
-
-    @staticmethod
-    def from_json(text: str) -> "PowerSeries":
-        data = json.loads(text)
-        return PowerSeries.from_pairs(data["coeffs"])
+    def to_dict(self) -> dict:
+        return {"coeffs": [[c.real, c.imag] for c in self.coeffs.tolist()]}
 
     @staticmethod
     def from_pairs(pairs) -> "PowerSeries":
-        """Build from a list of reals or [re, im] pairs."""
-        out = []
-        for p in pairs:
-            if isinstance(p, (int, float)):
-                out.append(complex(p))
-            else:
-                out.append(complex(p[0], p[1]))
-        return PowerSeries(np.array(out, dtype=np.complex128))
+        """Build from a list of reals or [re, im] pairs; any other entry is a
+        DomainError."""
+        if not isinstance(pairs, (list, tuple)):
+            raise DomainError("a series is a list of coefficients")
+        return PowerSeries(np.array([_coefficient(p) for p in pairs], dtype=np.complex128))
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _coefficient(p) -> complex:
+    if _is_real(p):
+        return complex(p)
+    if isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_real, p)):
+        return complex(p[0], p[1])
+    raise DomainError(f"coefficient {p!r} is neither a real number nor a pair of reals")
 
 
 def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:

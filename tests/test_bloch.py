@@ -1,5 +1,4 @@
 """Seminorm estimation on disk grids, growth bounds, and grid plumbing."""
-import csv
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
-from betacesaro.bloch import write_grid_csv
 
 from .conftest import random_poly
 
@@ -186,17 +184,3 @@ def test_triangle_inequality_on_grid(seed, coarse_grid):
 def test_growth_check_random_polynomials(seed, alpha, coarse_grid):
     f = random_poly(np.random.default_rng(seed), degree=64, pad=256)
     assert growth_check(f, BlochParams(alpha), coarse_grid).passed
-
-
-# ------------------------------------------------------------------ export
-
-
-def test_grid_csv_export(tmp_path, coarse_grid):
-    path = tmp_path / "grid.csv"
-    write_grid_csv(path, PowerSeries([0, 0, 1]).truncate(32), BlochParams(1.0), coarse_grid)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "theta", "weight", "abs_fprime", "product"]
-    assert len(rows) == 1 + coarse_grid.radii.size * coarse_grid.angles.size
-    r, theta, w, d, prod = map(float, rows[1])
-    assert prod == pytest.approx(w * d)

@@ -1,5 +1,4 @@
 """Boundedness constants, the decision table, and divergence probes."""
-import csv
 import json
 import math
 
@@ -99,7 +98,7 @@ def test_classify_total_and_deterministic(alpha, beta):
 
 
 def test_classify_json():
-    data = json.loads(classify(2.0, 1.0).to_json())
+    data = classify(2.0, 1.0).to_dict()
     assert "Bounded" in data["verdict"]
 
 
@@ -145,18 +144,13 @@ def test_probe_rejects_bad_abscissas():
         counterexample_probe(0.5, 1.0, "Ex26", [0.5, 1.0])
 
 
-def test_probe_samples_sorted_and_serializable(tmp_path):
+def test_probe_samples_sorted_and_serializable():
     rep = counterexample_probe(0.5, 1.0, "Ex26", [0.9, 0.5, 0.99])
     ts = [t for t, _ in rep.samples]
     assert ts == sorted(ts)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["verdict"] == "diverges"
-    path = tmp_path / "probe.csv"
-    rep.samples_to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "value"]
-    assert len(rows) == 4
+    assert data["samples"] == [list(s) for s in rep.samples]
 
 
 def test_default_probe_ts_shape():

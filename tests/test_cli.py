@@ -177,6 +177,29 @@ def test_bad_inline_series_is_error(capsys):
     assert code == 1
 
 
+PROBE_EX26 = ["counterexample", "--alpha", "0.5", "--beta", "1", "--which", "Ex26"]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["classify", "--alpha", "1", "--beta", "nan"], "usage error:"),
+        (["bound", "--alpha", "inf", "--beta", "0.5"], "usage error:"),
+        (PROBE_EX26 + ["--tmax", "nan"], "usage error:"),
+        (PROBE_EX26 + ["--tmax", "1"], "error:"),
+        (["apply", "--beta", "0", "--f", "[[0]]"], "error:"),
+        (["apply", "--beta", "0", "--f", "5"], "error:"),
+        (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5,abc"], "usage error:"),
+    ],
+)
+def test_malformed_input_is_one_line_error(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+
+
 # --------------------------------------------------------------- invariants
 
 

@@ -1,5 +1,4 @@
 """Operator application, matrices, spectra, eigenfunctions, and preimages."""
-import json
 import math
 
 import numpy as np
@@ -177,13 +176,6 @@ def test_matrix_agrees_with_apply(seed):
     np.testing.assert_allclose(out.coeffs[1:], via_matrix, atol=1e-12)
 
 
-def test_matrix_csv_export(tmp_path):
-    m = operator_matrix(SymbolGBeta.beta_cesaro(1.0), 3)
-    path = tmp_path / "matrix.csv"
-    m.to_csv(path)
-    assert len(path.read_text().strip().splitlines()) == 3
-
-
 # ------------------------------------------------------------------ spectra
 
 
@@ -318,7 +310,7 @@ def test_point_spectrum_uncovered_regime():
 
 
 def test_point_spectrum_json():
-    data = json.loads(point_spectrum(SymbolGBeta.alexander(), 1.0).to_json())
+    data = point_spectrum(SymbolGBeta.alexander(), 1.0).to_dict()
     assert data["base"] == [1.0, 0.0]
     assert data["empty"] is False
 

@@ -297,13 +297,19 @@ def test_truncate_and_pad():
 @given(f=series_strategy(32))
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip_exact(f):
-    back = PowerSeries.from_json(f.to_json())
+    back = PowerSeries.from_pairs(json.loads(json.dumps(f.to_dict()))["coeffs"])
     np.testing.assert_array_equal(back.coeffs, f.coeffs)
 
 
 def test_json_shape():
-    data = json.loads(PowerSeries([0, 1 + 2j]).to_json())
+    data = PowerSeries([0, 1 + 2j]).to_dict()
     assert data == {"coeffs": [[0.0, 0.0], [1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("pairs", [[[0]], [[1, 2, 3]], ["1"], [True], [[0, None]], 5, {"coeffs": [0]}])
+def test_from_pairs_rejects_malformed(pairs):
+    with pytest.raises(DomainError):
+        PowerSeries.from_pairs(pairs)
 
 
 def test_from_pairs_accepts_reals_and_pairs():
