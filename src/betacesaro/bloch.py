@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .series import PowerSeries, eval_on_points, ps_derivative, tail_scale
+from .bounds import compare
+from .series import PowerSeries, eval_on_points, ps_derivative, tail_estimate
 
 DEFAULT_N_RADIAL = 64
 DEFAULT_N_ANGULAR = 128
@@ -117,11 +118,6 @@ class ProbeVerdict:
     argworst: complex
 
 
-def _radial_tails(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
-    m = tail_scale(f)
-    return m * radii ** (f.order + 1) / (1.0 - radii)
-
-
 def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> SeminormEstimate:
     """Max over the grid of (1-|z|^2)^alpha |f'(z)|, with tail screening.
 
@@ -132,7 +128,7 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     d = ps_derivative(f)
     vals = np.abs(eval_on_points(d, g.points))
     prods = g.weights(p.alpha)[:, None] * vals
-    tails = _radial_tails(d, g.radii)
+    tails = tail_estimate(d, g.radii)
 
     best = 0.0
     argmax = 0j
@@ -156,7 +152,7 @@ def bloch_norm(f: PowerSeries, p: BlochParams, g: SampleGrid) -> float:
 
 
 def growth_bound(p: BlochParams, r: float, seminorm: float, f0: float) -> float:
-    """Pointwise growth bound for |f(z)| at |z| = r from the seminorm.
+    """Pointwise growth bound for |f(z)| at |z| = r, by compare(alpha, 1):
 
     alpha < 1: f0 + seminorm / (1 - alpha)                       (bounded case)
     alpha = 1: f0 + (seminorm / 2) * log((1+r)/(1-r))
@@ -165,9 +161,9 @@ def growth_bound(p: BlochParams, r: float, seminorm: float, f0: float) -> float:
     if not 0 <= r < 1:
         raise DomainError("growth_bound requires 0 <= r < 1")
     a = p.alpha
-    if a < 1:
+    if compare(a, 1.0) < 0:
         return f0 + seminorm / (1.0 - a)
-    if a == 1:
+    if compare(a, 1.0) == 0:
         return f0 + 0.5 * seminorm * math.log((1.0 + r) / (1.0 - r))
     return f0 + seminorm / (a - 1.0) * ((1.0 - r) ** (1.0 - a) - 1.0)
 
@@ -181,7 +177,7 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
     est = seminorm_estimate(f, p, g)
     f0 = abs(complex(f.coeffs[0]))
     fvals = np.abs(eval_on_points(f, g.points))
-    ftails = _radial_tails(f, g.radii)
+    ftails = tail_estimate(f, g.radii)
 
     passed = True
     worst = math.inf

@@ -2,8 +2,8 @@
 counterexample divergence probes.
 
 The bounded/unbounded/compact classification is total on alpha > 0 and
-deterministic; the constants are evaluated by 1-D maximization of the
-radial profile, since every certified bound depends on |z| only.
+deterministic, every boundary decided by `compare`; the constants are 1-D
+maxima of radial profiles, since every certified bound depends on |z| only.
 """
 from __future__ import annotations
 
@@ -21,6 +21,18 @@ DIVERGENCE_THRESHOLD = 0.05
 # correction (itself divergent even at exponent 0).
 LOG_DETECTION_THRESHOLD = 0.5
 
+_COMPACT = ("Bounded", "Compact", "EssentialNormZero")
+
+# Parameters within this distance of a regime boundary (beta = alpha,
+# alpha = 1, beta = 1, beta = 0) are treated as on it.
+REGIME_TOL = 1e-12
+
+
+def compare(x: float, y: float) -> int:
+    """-1, 0 or 1 as x lies below, within REGIME_TOL of, or above y."""
+    return 0 if abs(x - y) <= REGIME_TOL else (-1 if x < y else 1)
+
+
 _T_HI = 1.0 - 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,10 +40,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _sup_on_unit_interval(fn, n_coarse: int = 4096) -> float:
     """Supremum of fn over [0, 1), by coarse scan plus golden-section polish.
 
-    Boundary suprema are reported as the value at 1 - 1e-9.
+    fn maps an array of t to an array of values.  Boundary suprema are
+    reported as the value at 1 - 1e-9.
     """
     t = np.linspace(0.0, _T_HI, n_coarse + 1)
-    vals = np.array([fn(x) for x in t])
+    vals = fn(t)
     k = int(np.argmax(vals))
     lo = t[max(k - 1, 0)]
     hi = t[min(k + 1, n_coarse)]
@@ -52,46 +65,33 @@ def _sup_on_unit_interval(fn, n_coarse: int = 4096) -> float:
     return float(max(vals[k], fc, fd))
 
 
-def _alternating_sum(ceil_alpha: int, t: float) -> float:
-    """sum_{k=1..K} C(K, k) (-t)^(k-1) = (1 - (1-t)^K) / t, with the
-    removable limit K at t = 0."""
-    if t < 1e-8:
-        return float(ceil_alpha)
-    return (1.0 - (1.0 - t) ** ceil_alpha) / t
+def _over_t(num, t, limit: float):
+    """num / t, with the removable limit at t = 0 taken below t = 1e-8."""
+    return np.divide(num, t, out=np.full(np.shape(t), limit, dtype=float), where=t >= 1e-8)
 
 
-def _log_ratio_over_t(t: float) -> float:
-    """log((1+t)/(1-t)) / t, with the removable limit 2 at t = 0."""
-    if t < 1e-8:
-        return 2.0
-    return math.log((1.0 + t) / (1.0 - t)) / t
+# Radial profiles keyed by compare(alpha, 1).  For alpha > 1 the alternating
+# sum over k of C(K, k) (-t)^(k-1) is (1 - (1-t)^K) / t with K = ceil(alpha).
+_PROFILES = {
+    -1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (a - b) / (1.0 - a),
+    0: lambda a, b, t: (1.0 - t) ** (1.0 - b) * _over_t(np.log((1.0 + t) / (1.0 - t)), t, 2.0),
+    1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (1.0 - b) / (a - 1.0)
+    * _over_t(1.0 - (1.0 - t) ** math.ceil(a), t, math.ceil(a)),
+}
 
 
 def bound_constant(alpha: float, beta: float) -> float:
-    """Operator-norm bound for the bounded regimes of the decision table.
+    """Operator-norm bound, defined exactly where classify says Bounded.
 
     beta <= alpha < 1:  sup (1+t)^alpha (1-t)^(alpha-beta) / (1-alpha)
     beta <= 1 < alpha:  sup (1+t)^alpha (1-t)^(1-beta) / (alpha-1)
                             * sum_{k=1..ceil(alpha)} C(ceil(alpha),k)(-t)^(k-1)
     beta < alpha = 1:   sup (1-t)^(1-beta) log((1+t)/(1-t)) / t
     """
-    if beta <= alpha < 1:
-        return _sup_on_unit_interval(
-            lambda t: (1.0 + t) ** alpha * (1.0 - t) ** (alpha - beta) / (1.0 - alpha)
-        )
-    if beta <= 1 < alpha:
-        ca = math.ceil(alpha)
-        return _sup_on_unit_interval(
-            lambda t: (1.0 + t) ** alpha
-            * (1.0 - t) ** (1.0 - beta)
-            / (alpha - 1.0)
-            * _alternating_sum(ca, t)
-        )
-    if beta < alpha == 1:
-        return _sup_on_unit_interval(
-            lambda t: (1.0 - t) ** (1.0 - beta) * _log_ratio_over_t(t)
-        )
-    raise DomainError(f"no certified bound for alpha={alpha}, beta={beta}")
+    if not classify(alpha, beta).bounded:
+        raise DomainError(f"no certified bound for alpha={alpha}, beta={beta}")
+    profile = _PROFILES[compare(alpha, 1.0)]
+    return _sup_on_unit_interval(lambda t: profile(alpha, beta, t))
 
 
 @dataclass(frozen=True)
@@ -110,40 +110,39 @@ class Classification:
 
 
 def classify(alpha: float, beta: float) -> Classification:
-    """Total, deterministic decision table on alpha > 0, beta real."""
+    """Total, deterministic decision table on alpha > 0, beta real; equality
+    with a boundary means equality up to REGIME_TOL."""
     if not alpha > 0:
-        raise DomainError("classify requires alpha > 0")
-    if beta > alpha:
+        raise DomainError("alpha must be positive")
+    beta_vs_alpha = compare(beta, alpha)
+    alpha_vs_1 = compare(alpha, 1.0)
+    if beta_vs_alpha > 0:
         return Classification(("Unbounded",), ("counterexample: identity function, beta > alpha",))
-    if beta == alpha:
-        if alpha >= 1:
+    if beta_vs_alpha == 0:
+        if alpha_vs_1 >= 0:
             return Classification(("Unbounded",), ("counterexample: principal log, beta = alpha >= 1",))
         return Classification(
-            ("Bounded", "Compact", "EssentialNormZero"),
-            ("essential norm zero for beta = alpha < 1 (hence compact, hence bounded)",),
+            _COMPACT, ("essential norm zero for beta = alpha < 1 (hence compact, hence bounded)",)
         )
     # now beta < alpha
-    if alpha < 1:
+    if alpha_vs_1 < 0:
         return Classification(
-            ("Bounded", "Compact", "EssentialNormZero"),
-            ("bounded for beta <= alpha < 1", "compact for beta < alpha < 1"),
+            _COMPACT, ("bounded for beta <= alpha < 1", "compact for beta < alpha < 1")
         )
-    if alpha == 1:
+    if alpha_vs_1 == 0:
         return Classification(
-            ("Bounded", "Compact", "EssentialNormZero"),
-            ("bounded for beta < alpha = 1", "compact for beta < alpha = 1"),
+            _COMPACT, ("bounded for beta < alpha = 1", "compact for beta < alpha = 1")
         )
     # alpha > 1
-    if beta > 1:
+    beta_vs_1 = compare(beta, 1.0)
+    if beta_vs_1 > 0:
         return Classification(("Unbounded",), ("counterexample: z/(1-z)^(alpha-1), 1 < beta < alpha",))
-    if beta == 1:
+    if beta_vs_1 == 0:
         return Classification(
-            ("Bounded", "Compact", "EssentialNormZero"),
-            ("bounded for beta <= 1 < alpha", "essential norm zero for beta = 1 < alpha"),
+            _COMPACT, ("bounded for beta <= 1 < alpha", "essential norm zero for beta = 1 < alpha")
         )
     return Classification(
-        ("Bounded", "Compact", "EssentialNormZero"),
-        ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha"),
+        _COMPACT, ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha")
     )
 
 
@@ -200,18 +199,18 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
         raise DomainError("t_list must lie in (0, 1)")
 
     if which == "Ex26":
-        if not beta > alpha:
+        if compare(beta, alpha) <= 0:
             raise DomainError("Ex26 requires beta > alpha")
         values = [(1.0 + t) ** alpha / (1.0 - t) ** (beta - alpha) for t in ts]
     elif which == "Ex27":
-        if not beta >= alpha >= 1:
+        if compare(beta, alpha) < 0 or compare(alpha, 1.0) < 0:
             raise DomainError("Ex27 requires beta >= alpha >= 1")
         values = [
             (1.0 + t) ** alpha / (1.0 - t) ** (beta - alpha) * abs(math.log(1.0 - t)) / t
             for t in ts
         ]
     else:
-        if not beta > 1:
+        if compare(beta, 1.0) <= 0:
             raise DomainError("Ex28 requires beta > 1")
         values = [(1.0 + t) ** (alpha + 1.0) / (1.0 - t) ** (beta - 1.0) for t in ts]
 

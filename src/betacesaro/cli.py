@@ -170,10 +170,7 @@ def _apply(args):
 def _matrix(args):
     m = operator_matrix(_symbol_from_args(args), _order(args))
     entries = [[[c.real, c.imag] for c in row] for row in m.entries.tolist()]
-    rows = [
-        [f"{c.real!r}" if c.imag == 0 else f"{c.real!r}{c.imag:+}j" for c in row]
-        for row in m.entries
-    ]
+    rows = [[f"{re!r}" if im == 0 else f"{re!r}{im:+}j" for re, im in row] for row in entries]
     return {"size": m.size, "entries": entries}, (None, rows), EXIT_OK
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochParams, SampleGrid, seminorm_estimate
+from .bounds import classify, compare
 from .errors import DomainError, SpectrumEmptyError
 from .series import (
     DEFAULT_ORDER,
@@ -89,13 +90,17 @@ class SymbolGBeta:
 
     @staticmethod
     def from_json(text: str) -> "SymbolGBeta":
+        """Parse the format written by to_json; any other shape is a DomainError."""
         data = json.loads(text)
-        terms = tuple(
-            (complex(t["a"][0], t["a"][1]), complex(math.cos(t["b_angle"]), math.sin(t["b_angle"])))
-            for t in data["terms"]
-        )
-        h = PowerSeries.from_pairs(data.get("h", {}).get("coeffs", [0.0]))
-        return SymbolGBeta(terms=terms, beta=float(data["beta"]), h=h)
+        try:
+            terms = tuple(
+                (complex(t["a"][0], t["a"][1]), complex(math.cos(t["b_angle"]), math.sin(t["b_angle"])))
+                for t in data["terms"]
+            )
+            beta, h = float(data["beta"]), data.get("h", {}).get("coeffs", [0.0])
+        except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError) as exc:
+            raise DomainError(f"malformed symbol file: {exc!r}") from None
+        return SymbolGBeta(terms=terms, beta=beta, h=PowerSeries.from_pairs(h))
 
 
 def symbol_series(s: SymbolGBeta, order: int) -> PowerSeries:
@@ -202,8 +207,8 @@ def point_spectrum(s: SymbolGBeta, alpha: float, leading: int = 16) -> SpectrumR
     evs = tuple(g0 / n for n in range(1, leading + 1))
     beta = s.beta
 
-    if abs(beta - 1.0) <= 1e-12:
-        if alpha >= 1:
+    if compare(beta, 1.0) == 0:
+        if compare(alpha, 1.0) >= 0:
             per = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
             return SpectrumReport(
                 base=g0, leading=evs, empty=False, covered=True,
@@ -214,13 +219,13 @@ def point_spectrum(s: SymbolGBeta, alpha: float, leading: int = 16) -> SpectrumR
             base=g0, leading=evs, empty=False, covered=False, admissible=None,
             per_term=(), note="beta = 1 with alpha < 1: not covered",
         )
-    if abs(beta) <= 1e-12:
+    if compare(beta, 0.0) == 0:
         return SpectrumReport(
             base=g0, leading=evs, empty=False, covered=True, admissible=True,
             per_term=(), note="unconditional",
         )
-    if 0 < beta < 1:
-        covered = (alpha < 1 and beta <= alpha) or alpha >= 1
+    if compare(beta, 0.0) > 0 and compare(beta, 1.0) < 0:
+        covered = classify(alpha, beta).bounded
         note = (
             "unconditional; certified for beta < m/(m+1) for every m, i.e. beta < 1"
             if covered

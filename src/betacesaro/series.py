@@ -104,10 +104,13 @@ def _is_real(x) -> bool:
 
 
 def _coefficient(p) -> complex:
-    if _is_real(p):
-        return complex(p)
-    if isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_real, p)):
-        return complex(p[0], p[1])
+    try:
+        if _is_real(p):
+            return complex(p)
+        if isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_real, p)):
+            return complex(p[0], p[1])
+    except OverflowError:
+        raise DomainError("coefficient too large for a float") from None
     raise DomainError(f"coefficient {p!r} is neither a real number nor a pair of reals")
 
 
@@ -176,18 +179,14 @@ def ps_div_by_z(f: PowerSeries) -> PowerSeries:
     return PowerSeries(f.coeffs[1:])
 
 
-def tail_scale(f: PowerSeries) -> float:
-    """Max |c_n| over the last stored coefficients (geometric majorant scale)."""
-    return float(np.max(np.abs(f.coeffs[-_TAIL_WINDOW:])))
-
-
-def tail_estimate(f: PowerSeries, r: float) -> float:
-    """Heuristic truncation-tail bound M * r**(N+1) / (1-r) at radius r.
+def tail_estimate(f: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
+    """Heuristic truncation-tail bound M * r**(N+1) / (1-r) at a radius r or
+    an array of radii, with M the largest |c_n| over the trailing window.
 
     Crude but monotone in r; reported alongside values, never silently
     applied.
     """
-    return tail_scale(f) * r ** (f.order + 1) / (1.0 - r)
+    return float(np.max(np.abs(f.coeffs[-_TAIL_WINDOW:]))) * r ** (f.order + 1) / (1.0 - r)
 
 
 def ps_eval(f: PowerSeries, z: complex) -> tuple[complex, float]:

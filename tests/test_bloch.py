@@ -115,6 +115,13 @@ def test_growth_bound_alpha_two():
     assert growth_bound(BlochParams(2.0), 0.5, 1.0, 0.0) == pytest.approx(1.0)
 
 
+def test_growth_bound_alpha_within_tolerance_of_one():
+    # alpha within REGIME_TOL of 1 takes the logarithmic alpha = 1 bound
+    at_one = growth_bound(BlochParams(1.0), 0.99, 1.0, 0.0)
+    assert abs(growth_bound(BlochParams(1.0 + 1e-13), 0.99, 1.0, 0.0) - at_one) < 1e-9
+    assert abs(growth_bound(BlochParams(1.0 - 1e-13), 0.99, 1.0, 0.0) - at_one) < 1e-9
+
+
 def test_growth_bound_rejects_bad_radius():
     with pytest.raises(DomainError):
         growth_bound(BlochParams(1.0), 1.0, 1.0, 0.0)

@@ -19,6 +19,8 @@ from betacesaro import (
     apply_beta_cesaro,
 )
 
+from betacesaro.bounds import _PROFILES, compare
+
 from .conftest import random_poly
 
 # ------------------------------------------------------------ bound_constant
@@ -45,6 +47,29 @@ def test_bound_constant_log_regime_value():
     assert bound_constant(1.0, 0.5) == pytest.approx(2.0, abs=1e-6)
 
 
+def _reference_profile(alpha, beta, t):
+    # the radial profiles in scalar float arithmetic, one t at a time
+    if compare(alpha, 1.0) < 0:
+        return (1.0 + t) ** alpha * (1.0 - t) ** (alpha - beta) / (1.0 - alpha)
+    if compare(alpha, 1.0) == 0:
+        ratio = 2.0 if t < 1e-8 else math.log((1.0 + t) / (1.0 - t)) / t
+        return (1.0 - t) ** (1.0 - beta) * ratio
+    k = math.ceil(alpha)
+    alternating = float(k) if t < 1e-8 else (1.0 - (1.0 - t) ** k) / t
+    return (1.0 + t) ** alpha * (1.0 - t) ** (1.0 - beta) / (alpha - 1.0) * alternating
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.25), (1.0, 0.5), (2.5, 1.0), (4.2, -1.5)])
+def test_profiles_match_scalar_reference(alpha, beta):
+    # array and scalar pow may differ by one ulp, and 1 - (1-t)^K cancels:
+    # for t >= 1e-3 that is at most 1000 ulps of the result; the t = 0 and
+    # t < 1e-8 points take the removable limits
+    t = np.concatenate([[0.0, 5e-9], np.linspace(1e-3, 1.0 - 1e-9, 257)])
+    got = _PROFILES[compare(alpha, 1.0)](alpha, beta, t)
+    want = [_reference_profile(alpha, beta, x) for x in t.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1000 * np.finfo(float).eps, atol=0)
+
+
 def test_bound_constant_rejects_uncovered():
     with pytest.raises(DomainError):
         bound_constant(0.5, 0.7)
@@ -52,6 +77,8 @@ def test_bound_constant_rejects_uncovered():
         bound_constant(1.0, 1.0)
     with pytest.raises(DomainError):
         bound_constant(2.0, 1.5)
+    with pytest.raises(DomainError):
+        bound_constant(-1.0, -2.0)
 
 
 # ----------------------------------------------------------------- classify
@@ -102,6 +129,55 @@ def test_classify_json():
     assert "Bounded" in data["verdict"]
 
 
+# -------------------------------------------------------- regime boundaries
+
+
+def test_compare_tolerance():
+    assert compare(0.1 + 0.2, 0.3) == 0
+    assert compare(1.0 + 1e-13, 1.0) == 0
+    assert compare(1.0 + 1e-11, 1.0) == 1
+    assert compare(1.0 - 1e-11, 1.0) == -1
+
+
+def test_classify_rounded_beta_equal_alpha_is_compact():
+    # 0.1 + 0.2 is one ulp above 0.3: beta = alpha < 1, which is compact
+    assert "Compact" in classify(0.3, 0.1 + 0.2).verdict
+
+
+def test_classify_beta_within_tolerance_of_one():
+    assert classify(2.0, 1.0 + 1e-13) == classify(2.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.1 + 0.2), (2.0, 1.0 + 1e-13)])
+def test_bound_constant_finite_within_tolerance(alpha, beta):
+    assert math.isfinite(bound_constant(alpha, beta))
+
+
+_JITTER = st.floats(-5e-13, 5e-13)
+
+
+@st.composite
+def regime_points(draw):
+    """alpha in (0, 5] and beta in [-2, 5], plus points within 5e-13 of the
+    boundaries alpha = 1, beta = 1 and beta = alpha."""
+    alpha = draw(st.floats(0.0, 5.0, exclude_min=True) | _JITTER.map(lambda d: 1.0 + d))
+    near_alpha = _JITTER.map(lambda d: alpha + d)
+    beta = draw(st.floats(-2.0, 5.0) | _JITTER.map(lambda d: 1.0 + d) | near_alpha)
+    return alpha, beta
+
+
+@given(point=regime_points())
+@settings(max_examples=200, deadline=None)
+def test_bound_constant_exists_iff_bounded(point):
+    alpha, beta = point
+    if classify(alpha, beta).bounded:
+        value = bound_constant(alpha, beta)
+        assert math.isfinite(value) and value > 0
+    else:
+        with pytest.raises(DomainError):
+            bound_constant(alpha, beta)
+
+
 # ---------------------------------------------------- counterexample probes
 
 
@@ -135,6 +211,17 @@ def test_probe_regime_guards():
         counterexample_probe(1.0, 0.9, "Ex28", [0.5, 0.9])
     with pytest.raises(DomainError):
         counterexample_probe(0.5, 1.0, "Ex99", [0.5, 0.9])
+    # equal up to REGIME_TOL is not strictly greater
+    with pytest.raises(DomainError):
+        counterexample_probe(1.0, 1.0 + 1e-15, "Ex26", [0.5, 0.9])
+    with pytest.raises(DomainError):
+        counterexample_probe(0.5, 1.0 + 1e-15, "Ex28", [0.5, 0.9])
+
+
+def test_probe_ex27_accepts_boundary_within_tolerance():
+    # beta = alpha = 1 up to REGIME_TOL meets Ex27's beta >= alpha >= 1
+    rep = counterexample_probe(1.0 - 1e-13, 1.0 - 2e-13, "Ex27", default_probe_ts())
+    assert rep.verdict == "diverges"
 
 
 def test_probe_rejects_bad_abscissas():

@@ -190,6 +190,8 @@ PROBE_EX26 = ["counterexample", "--alpha", "0.5", "--beta", "1", "--which", "Ex2
         (["apply", "--beta", "0", "--f", "[[0]]"], "error:"),
         (["apply", "--beta", "0", "--f", "5"], "error:"),
         (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5,abc"], "usage error:"),
+        (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 400 + "]"], "error:"),
+        (["bound", "--alpha", "-1", "--beta", "-2"], "error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, argv, prefix):
@@ -197,6 +199,25 @@ def test_malformed_input_is_one_line_error(capsys, argv, prefix):
     assert code == 1
     assert out == ""
     assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"terms": 5},
+        [1, 2],
+        {"terms": [], "beta": "x"},
+        {"terms": [{"a": [1, 0], "b_angle": "q"}], "beta": 1},
+    ],
+)
+def test_wrong_symbol_shape_is_one_line_error(capsys, tmp_path, shape):
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(shape))
+    code, out, err = run(capsys, "spectrum", "--symbol", str(path), "--N", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
 
 

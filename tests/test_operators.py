@@ -309,6 +309,11 @@ def test_point_spectrum_uncovered_regime():
     assert not rep.covered
 
 
+def test_point_spectrum_coverage_follows_classify():
+    # beta = 0.1 + 0.2 equals alpha = 0.3 up to REGIME_TOL: bounded, so covered
+    assert point_spectrum(SymbolGBeta.beta_cesaro(0.1 + 0.2), alpha=0.3).covered
+
+
 def test_point_spectrum_json():
     data = point_spectrum(SymbolGBeta.alexander(), 1.0).to_dict()
     assert data["base"] == [1.0, 0.0]
