@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, seminorm_estimate
+from .bloch import BlochParams, SampleGrid, eval_on_grid, seminorm_estimate
 from .bounds import ProbeReport
 from .errors import DomainError
 from .operators import SymbolGBeta, apply_generalized, compact_approximant
-from .series import DEFAULT_ORDER, PowerSeries, eval_on_points
+from .series import DEFAULT_ORDER, PowerSeries
 
 # Probe verdicts require decay below this fraction of the initial value.
 DECAY_FACTOR = 0.1
@@ -26,7 +26,7 @@ DECAY_FACTOR = 0.1
 # Compact-subset check: members must fall below this sup on |z| <= 1/2.
 NULL_SUP_THRESHOLD = 1e-3
 
-_HALF_DISK = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+_HALF_DISK = SampleGrid(radii=np.array([0.5]), angles=2.0 * math.pi * np.arange(64) / 64)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class NullFamily:
 
 
 def _half_disk_sup(f: PowerSeries) -> float:
-    return float(np.max(np.abs(eval_on_points(f, _HALF_DISK))))
+    return float(np.max(np.abs(eval_on_grid(f, _HALF_DISK))))
 
 
 def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -178,13 +178,14 @@ def essential_norm_probe(
     ds = list(dilations)
     if any(not 0 < d < 1 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
         raise DomainError("dilations must be increasing in (0, 1)")
+    images = [apply_generalized(f, s) for f in test_family]
     samples = []
     argmax_labels = []
     for d in ds:
         best = 0.0
         best_i = 0
-        for i, f in enumerate(test_family):
-            diff = apply_generalized(f, s) - compact_approximant(f, s, d)
+        for i, (f, image) in enumerate(zip(test_family, images)):
+            diff = image - compact_approximant(f, s, d)
             v = seminorm_estimate(diff, p, g).value
             if v > best:
                 best = v

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, seminorm_estimate
+from .bloch import BlochParams, SampleGrid, eval_on_grid, seminorm_estimate
 from .bounds import classify, compare
 from .errors import DomainError, SpectrumEmptyError
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
     binomial_series,
-    eval_on_points,
     ps_derivative,
     ps_div_by_z,
     ps_exp,
@@ -72,7 +71,7 @@ class SymbolGBeta:
 
     def h_sup_norm(self, grid: SampleGrid) -> float:
         """Grid estimate of the sup norm of the bounded part h."""
-        return float(np.max(np.abs(eval_on_points(self.h, grid.points))))
+        return float(np.max(np.abs(eval_on_grid(self.h, grid))))
 
     # -- serialization -----------------------------------------------------
 

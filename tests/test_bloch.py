@@ -11,6 +11,8 @@ from betacesaro import (
     DomainError,
     PowerSeries,
     SampleGrid,
+    SymbolGBeta,
+    apply_generalized,
     bloch_norm,
     default_grid,
     growth_bound,
@@ -18,6 +20,8 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
+from betacesaro.bloch import TAIL_EXCLUSION, eval_on_grid
+from betacesaro.series import eval_on_points, ps_derivative, tail_estimate
 
 from .conftest import random_poly
 
@@ -54,6 +58,59 @@ def test_grid_radii_must_increase():
         SampleGrid(radii=np.array([0.5, 0.5]), angles=np.array([0.0]))
 
 
+@pytest.mark.parametrize("radii", [np.array([]), np.array([[0.1, 0.2]])])
+def test_grid_radii_must_be_a_nonempty_vector(radii):
+    with pytest.raises(DomainError):
+        SampleGrid(radii=radii, angles=np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        np.array([0.0, 1.0]),
+        0.1 + 2 * math.pi * np.arange(8) / 8,
+        np.linspace(0.0, 2 * math.pi, 8),
+        2 * math.pi * np.arange(8)[::-1] / 8,
+        np.zeros((2, 4)),
+        np.array([]),
+    ],
+)
+def test_grid_angles_must_be_uniform(angles):
+    # eval_on_grid's ring FFT assumes the angles 2*pi*k/A
+    with pytest.raises(DomainError):
+        SampleGrid(radii=np.array([0.0, 0.5]), angles=angles)
+
+
+def test_grid_accepts_linspace_angles():
+    angles = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+    assert SampleGrid(radii=np.array([0.5]), angles=angles).angles.size == 7
+
+
+# ------------------------------------------------------- grid evaluation
+
+
+@pytest.mark.parametrize(
+    "order, n_radial, n_angular",
+    [
+        (10, 4, 1),  # A = 1: every coefficient folds onto one bin
+        (5, 4, 16),  # N + 1 < A
+        (100, 8, 24),  # N + 1 not a multiple of A
+        (255, 8, 128),  # N + 1 a multiple of A
+        (4096, 64, 128),  # the default grid at a large order
+    ],
+)
+def test_eval_on_grid_matches_horner(order, n_radial, n_angular):
+    rng = np.random.default_rng(order)
+    f = PowerSeries(rng.uniform(-1.0, 1.0, (order + 1, 2)) @ np.array([1.0, 1.0j]))
+    g = default_grid(n_radial, n_angular, 0.999)
+    assert g.radii[0] == 0.0  # the r = 0 ring is covered
+    got = eval_on_grid(f, g)
+    want = eval_on_points(f, g.points)
+    assert got.shape == want.shape == (n_radial + 1, n_angular)
+    scale = np.abs(f.coeffs) @ (g.radii[None, :] ** np.arange(order + 1)[:, None])
+    assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None])
+
+
 # -------------------------------------------------------- seminorm examples
 
 
@@ -81,6 +138,41 @@ def test_seminorm_log_witness(grid):
     high = seminorm_estimate(truncated_log_witness(32768), p, grid)
     assert high.value == pytest.approx(1.999, abs=2e-3)
     assert high.value > low.value
+
+
+def _seminorm_reference(f, p, g):
+    """Horner evaluation and the radius-by-radius screening loop."""
+    d = ps_derivative(f)
+    prods = g.weights(p.alpha)[:, None] * np.abs(eval_on_points(d, g.points))
+    tails = tail_estimate(d, g.radii)
+    best, max_tail, n_excluded = 0.0, 0.0, 0
+    for i in range(g.radii.size):
+        if tails[i] > TAIL_EXCLUSION * (1.0 + best):
+            n_excluded += g.angles.size
+            continue
+        max_tail = max(max_tail, float(tails[i]))
+        best = max(best, float(prods[i].max()))
+    return best, max_tail, n_excluded
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.floats(0.5, 2.5),
+)
+@settings(max_examples=25, deadline=None)
+def test_seminorm_matches_horner_loop_reference(seed, alpha, beta, coarse_grid):
+    r = np.random.default_rng(seed)
+    b = np.exp(1j * np.array([0.0, r.uniform(0.5, 6.0)]))
+    s = SymbolGBeta(terms=((1.0, b[0]), (r.uniform(0.2, 2.0), b[1])), beta=beta)
+    image = apply_generalized(random_poly(r, degree=64, pad=256), s)
+    p = BlochParams(alpha)
+    value, max_tail, n_excluded = _seminorm_reference(image, p, coarse_grid)
+    assert n_excluded > 0
+    est = seminorm_estimate(image, p, coarse_grid)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.n_excluded == n_excluded
+    assert est.max_tail == max_tail
 
 
 def test_seminorm_excludes_untrusted_radii(grid):
