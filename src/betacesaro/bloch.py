@@ -112,11 +112,16 @@ def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
     blocks of A coefficients, so the whole grid costs O(R (N + A log A)) for
     R radii instead of the O(R A N) of Horner at every point.
     """
-    n_angles = g.angles.size
+    return _eval_on_rings(f, g.radii, g.angles.size)
+
+
+def _eval_on_rings(f: PowerSeries, radii: np.ndarray, n_angles: int) -> np.ndarray:
+    """`eval_on_grid` on the rings of the given radii only; every operation
+    acts row by row, so each row equals the full grid's row bit for bit."""
     c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
-    r = g.radii[:, None]
+    r = radii[:, None]
     step = r**n_angles
-    folded = np.zeros((g.radii.size, n_angles), dtype=np.complex128)
+    folded = np.zeros((radii.size, n_angles), dtype=np.complex128)
     for block in c.reshape(-1, n_angles)[::-1]:
         folded = folded * step + block
     folded *= r ** np.arange(n_angles)
@@ -157,22 +162,42 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     moves on kept radii, so once a radius is excluded every larger one is
     too: the kept radii are a prefix.  `argmax` is the first maximizing grid
     point in (radius, angle) order, so among tied points rounding decides.
+
+    Only kept rings are evaluated, in passes.  A pass runs from the first
+    unevaluated ring up to the first ring whose tail exceeds the bound set
+    by the best value before the pass; the best value before any ring of
+    the pass is at least that large, so every ring of the pass is kept.  The
+    screening stops at the first ring that fails the bound right at the
+    start of a pass.
     """
     d = ps_derivative(f)
-    prods = g.weights(p.alpha)[:, None] * np.abs(eval_on_grid(d, g))
+    weights = g.weights(p.alpha)
     tails = tail_estimate(d, g.radii)
+    n_radii, n_angles = g.radii.size, g.angles.size
 
-    best_before = np.concatenate(([0.0], np.maximum.accumulate(prods.max(axis=1))[:-1]))
-    excluded = tails > TAIL_EXCLUSION * (1.0 + best_before)
-    n_kept = int(np.argmax(excluded)) if excluded.any() else g.radii.size
-    n_excluded = (g.radii.size - n_kept) * g.angles.size
+    passes = []
+    best = 0.0
+    n_kept = 0
+    while n_kept < n_radii:
+        over = tails[n_kept:] > TAIL_EXCLUSION * (1.0 + best)
+        stop = n_kept + int(np.argmax(over)) if over.any() else n_radii
+        if stop == n_kept:
+            break
+        rings = slice(n_kept, stop)
+        prods = weights[rings, None] * np.abs(_eval_on_rings(d, g.radii[rings], n_angles))
+        best = np.maximum(best, prods.max())
+        passes.append(prods)
+        n_kept = stop
+
+    n_excluded = (n_radii - n_kept) * n_angles
     if n_kept == 0:
         return SeminormEstimate(value=0.0, argmax=0j, max_tail=0.0, n_excluded=n_excluded)
-    i, j = np.unravel_index(np.argmax(prods[:n_kept]), (n_kept, g.angles.size))
-    best = float(prods[i, j])
+    prods = np.concatenate(passes)
+    i, j = np.unravel_index(np.argmax(prods), prods.shape)
+    value = float(prods[i, j])
     return SeminormEstimate(
-        value=best,
-        argmax=complex(g.points[i, j]) if best > 0 else 0j,
+        value=value,
+        argmax=complex(g.points[i, j]) if value > 0 else 0j,
         max_tail=float(tails[:n_kept].max()),
         n_excluded=n_excluded,
     )
@@ -204,24 +229,20 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
     """Check |f(z)| against the growth bound at every grid point.
 
     Failures beyond the slack GROWTH_SLACK + tail estimate are reported in
-    the verdict, never raised.
+    the verdict, never raised.  The worst point is the first grid point, in
+    (radius, angle) order, of least margin bound - |f|.  A ring's least
+    margin is its bound minus its largest |f|, exactly, because b - x
+    rounds monotonically in x.
     """
     est = seminorm_estimate(f, p, g)
     f0 = abs(complex(f.coeffs[0]))
     fvals = np.abs(eval_on_grid(f, g))
     ftails = tail_estimate(f, g.radii)
 
-    passed = True
-    worst = math.inf
-    argworst = 0j
-    for i, r in enumerate(g.radii):
-        bound = growth_bound(p, float(r), est.value, f0)
-        margins = bound - fvals[i]
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            argworst = complex(g.points[i, j])
-        if margins[j] < -(GROWTH_SLACK + ftails[i] + est.max_tail):
-            passed = False
+    bounds = np.array([growth_bound(p, float(r), est.value, f0) for r in g.radii])
+    ring_margins = bounds - fvals.max(axis=1)
+    i = int(np.argmin(ring_margins))
+    worst = float(ring_margins[i])
+    argworst = complex(g.points[i, np.argmin(bounds[i] - fvals[i])])
+    passed = not np.any(ring_margins < -(GROWTH_SLACK + ftails + est.max_tail))
     return ProbeVerdict(passed=passed, worst_margin=worst, argworst=argworst)
-

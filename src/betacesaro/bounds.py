@@ -148,10 +148,11 @@ def classify(alpha: float, beta: float) -> Classification:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Sampled values with a fitted divergence/decay exponent."""
+    """Sampled values with a fitted divergence/decay exponent; the exponent
+    is None when fewer than two samples are positive, so no fit exists."""
 
     samples: tuple[tuple[float, float], ...]
-    fitted_exponent: float
+    fitted_exponent: float | None
     verdict: str
     log_coefficient: float = 0.0
     labels: tuple[str, ...] = ()

@@ -79,15 +79,29 @@ def _float_list(text: str) -> str:
     return text
 
 
-def _default_order() -> int:
+def _truncation_order(text: str) -> int:
+    """The argparse type of --N, and the rule for BCL_DEFAULT_N: an integer >= 1."""
     try:
-        return int(os.environ.get("BCL_DEFAULT_N", DEFAULT_ORDER))
+        value = int(text)
     except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"N must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _default_order() -> int:
+    text = os.environ.get("BCL_DEFAULT_N")
+    if text is None:
         return DEFAULT_ORDER
+    try:
+        return _truncation_order(text)
+    except argparse.ArgumentTypeError as exc:
+        raise DomainError(f"BCL_DEFAULT_N: {exc}") from None
 
 
 def _order(args) -> int:
-    return args.order or _default_order()
+    return _default_order() if args.order is None else args.order
 
 
 def _series_from_args(args, pad=False) -> PowerSeries:
@@ -137,7 +151,10 @@ def _emit(args, result: dict, csv_view) -> None:
         text = buf.getvalue()
     else:
         report = {"schema": SCHEMA, "config": _config_of(args), "result": result}
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise DomainError(f"report holds a non-finite number: {exc}") from None
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -259,7 +276,7 @@ _SERIES = (
     _arg("--f", help="inline JSON coefficient list"),
     _arg("--f-file"),
 )
-_ORDER = _arg("--N", dest="order", type=int)
+_ORDER = _arg("--N", dest="order", type=_truncation_order)
 _ALPHA = _arg("--alpha", type=_finite_float, required=True)
 _BETA = _arg("--beta", type=_finite_float, required=True)
 

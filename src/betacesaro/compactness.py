@@ -135,7 +135,7 @@ def compactness_probe(
         logv = np.log([v for _, v in pos])
         slope = float(np.polyfit(logm, logv, 1)[0])
     else:
-        slope = -math.inf
+        slope = None
     verdict = (
         "compact-consistent"
         if all(v == 0 for v in values)
@@ -200,7 +200,7 @@ def essential_norm_probe(
         y = [math.log(v) for _, v in pos]
         slope = float(np.polyfit(x, y, 1)[0])
     else:
-        slope = -math.inf
+        slope = None
     verdict = _decay_verdict(values, "essential-norm-zero-consistent", "inconsistent")
     return ProbeReport(
         samples=tuple(samples),

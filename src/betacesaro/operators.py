@@ -36,12 +36,14 @@ class SymbolGBeta:
     """Operator symbol: sum_j a_j (1 - b_j w)^(-beta) + h(w).
 
     The b_j are distinct unimodular points, |a_j| > 0, and h is a bounded
-    analytic function stored truncated.
+    analytic function stored truncated.  `_gamma` holds the longest Taylor
+    series of the symbol that `symbol_series` has built for it.
     """
 
     terms: tuple[tuple[complex, complex], ...]
     beta: float
     h: PowerSeries = field(default_factory=PowerSeries.zero)
+    _gamma: PowerSeries | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple((complex(a), complex(b)) for a, b in self.terms)
@@ -103,12 +105,23 @@ class SymbolGBeta:
 
 
 def symbol_series(s: SymbolGBeta, order: int) -> PowerSeries:
-    """Taylor coefficients gamma_0..gamma_order of the symbol."""
-    acc = np.zeros(order + 1, dtype=np.complex128)
-    for a, b in s.terms:
-        acc += a * binomial_series(s.beta, b, order).coeffs
-    acc += s.h.truncate(order).coeffs
-    return PowerSeries(acc)
+    """Taylor coefficients gamma_0..gamma_order of the symbol.
+
+    The series is built once per symbol, at the largest order asked for so
+    far, and truncated for smaller orders.  The truncation is exact: the
+    binomial recurrence and the sum over the terms act coefficient by
+    coefficient, so gamma to order K is a bit-exact prefix of gamma to any
+    larger order.
+    """
+    if order < 0:
+        raise DomainError("symbol_series requires order >= 0")
+    if s._gamma is None or s._gamma.order < order:
+        acc = np.zeros(order + 1, dtype=np.complex128)
+        for a, b in s.terms:
+            acc += a * binomial_series(s.beta, b, order).coeffs
+        acc += s.h.truncate(order).coeffs
+        object.__setattr__(s, "_gamma", PowerSeries(acc))
+    return s._gamma.truncate(order)
 
 
 def apply_generalized(f: PowerSeries, s: SymbolGBeta) -> PowerSeries:

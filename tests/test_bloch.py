@@ -20,7 +20,7 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
-from betacesaro.bloch import TAIL_EXCLUSION, eval_on_grid
+from betacesaro.bloch import GROWTH_SLACK, TAIL_EXCLUSION, _eval_on_rings, eval_on_grid
 from betacesaro.series import eval_on_points, ps_derivative, tail_estimate
 
 from .conftest import random_poly
@@ -111,6 +111,17 @@ def test_eval_on_grid_matches_horner(order, n_radial, n_angular):
     assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None])
 
 
+@pytest.mark.parametrize("order, n_radial, n_angular", [(10, 4, 1), (100, 8, 24), (1024, 64, 128)])
+def test_ring_subset_rows_equal_full_grid_rows(order, n_radial, n_angular):
+    rng = np.random.default_rng(order)
+    f = PowerSeries(rng.uniform(-1.0, 1.0, (order + 1, 2)) @ np.array([1.0, 1.0j]))
+    g = default_grid(n_radial, n_angular, 0.999)
+    full = eval_on_grid(f, g)
+    for rings in (slice(0, 1), slice(1, 3), slice(n_radial // 2, None), slice(n_radial, None)):
+        part = _eval_on_rings(f, g.radii[rings], n_angular)
+        assert part.tobytes() == full[rings].tobytes()
+
+
 # -------------------------------------------------------- seminorm examples
 
 
@@ -175,6 +186,57 @@ def test_seminorm_matches_horner_loop_reference(seed, alpha, beta, coarse_grid):
     assert est.max_tail == max_tail
 
 
+def _prefix_screen_reference(f, p, g):
+    """Every ring evaluated, then the vectorized prefix screen."""
+    d = ps_derivative(f)
+    prods = g.weights(p.alpha)[:, None] * np.abs(eval_on_grid(d, g))
+    tails = tail_estimate(d, g.radii)
+    best_before = np.concatenate(([0.0], np.maximum.accumulate(prods.max(axis=1))[:-1]))
+    excluded = tails > TAIL_EXCLUSION * (1.0 + best_before)
+    n_kept = int(np.argmax(excluded)) if excluded.any() else g.radii.size
+    n_excluded = (g.radii.size - n_kept) * g.angles.size
+    if n_kept == 0:
+        return 0.0, 0j, 0.0, n_excluded
+    i, j = np.unravel_index(np.argmax(prods[:n_kept]), (n_kept, g.angles.size))
+    best = float(prods[i, j])
+    argmax = complex(g.points[i, j]) if best > 0 else 0j
+    return best, argmax, float(tails[:n_kept].max()), n_excluded
+
+
+def _assert_same_as_prefix_screen(f, p, g):
+    est = seminorm_estimate(f, p, g)
+    assert (est.value, est.argmax, est.max_tail, est.n_excluded) == _prefix_screen_reference(f, p, g)
+    return est
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.floats(0.5, 2.5),
+    order=st.sampled_from([64, 256, 1024]),
+)
+@settings(max_examples=40, deadline=None)
+def test_seminorm_evaluates_kept_rings_only_exactly(seed, alpha, beta, order, coarse_grid):
+    # evaluating only the kept rings gives the full-grid screen's result bit for bit
+    r = np.random.default_rng(seed)
+    b = np.exp(1j * np.array([0.0, r.uniform(0.5, 6.0)]))
+    s = SymbolGBeta(terms=((1.0, b[0]), (r.uniform(0.2, 2.0), b[1])), beta=beta)
+    image = apply_generalized(random_poly(r, degree=64, pad=order), s)
+    assert _assert_same_as_prefix_screen(image, BlochParams(alpha), coarse_grid).n_excluded > 0
+
+
+def test_seminorm_kept_rings_edge_cases(coarse_grid):
+    p = BlochParams(1.0)
+    # no exclusions: a zero-padded polynomial is tail-free on every ring
+    f = random_poly(np.random.default_rng(3), degree=24, pad=256)
+    assert _assert_same_as_prefix_screen(f, p, coarse_grid).n_excluded == 0
+    # no kept ring: the innermost ring's tail already fails the screen
+    g = SampleGrid(radii=np.array([0.9, 0.95]), angles=2 * math.pi * np.arange(8) / 8)
+    est = _assert_same_as_prefix_screen(PowerSeries(np.ones(8)), p, g)
+    assert est.n_excluded == 16
+    assert est.value == 0.0
+
+
 def test_seminorm_excludes_untrusted_radii(grid):
     est = seminorm_estimate(truncated_log_witness(512), BlochParams(1.0), grid)
     assert est.n_excluded > 0
@@ -234,6 +296,54 @@ def test_growth_check_log_witness(grid):
     v = growth_check(truncated_log_witness(512), BlochParams(1.0), grid)
     assert v.passed
     assert v.worst_margin >= -1e-8
+
+
+def _growth_check_loop_reference(f, p, g):
+    """The ring-by-ring loop growth_check replaced."""
+    est = seminorm_estimate(f, p, g)
+    f0 = abs(complex(f.coeffs[0]))
+    fvals = np.abs(eval_on_grid(f, g))
+    ftails = tail_estimate(f, g.radii)
+    passed, worst, argworst = True, math.inf, 0j
+    for i, r in enumerate(g.radii):
+        margins = growth_bound(p, float(r), est.value, f0) - fvals[i]
+        j = int(np.argmin(margins))
+        if margins[j] < worst:
+            worst = float(margins[j])
+            argworst = complex(g.points[i, j])
+        if margins[j] < -(GROWTH_SLACK + ftails[i] + est.max_tail):
+            passed = False
+    return passed, worst, argworst
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]),
+    image=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_growth_check_matches_ring_loop(seed, alpha, beta, image, coarse_grid):
+    f = random_poly(np.random.default_rng(seed), degree=64, pad=256)
+    if image:
+        f = apply_generalized(f, SymbolGBeta.beta_cesaro(beta))
+    p = BlochParams(alpha)
+    v = growth_check(f, p, coarse_grid)
+    assert (v.passed, v.worst_margin, v.argworst) == _growth_check_loop_reference(f, p, coarse_grid)
+
+
+def test_growth_check_matches_ring_loop_on_failures(coarse_grid):
+    # C_beta f at alpha = 1 with beta > alpha: the tail heuristic misses the
+    # growing coefficients and the check fails; the verdict must still match
+    p = BlochParams(1.0)
+    failures = 0
+    s = SymbolGBeta.beta_cesaro(2.5)
+    for seed in range(12):
+        f = apply_generalized(random_poly(np.random.default_rng(seed), degree=64, pad=256), s)
+        v = growth_check(f, p, coarse_grid)
+        assert (v.passed, v.worst_margin, v.argworst) == _growth_check_loop_reference(f, p, coarse_grid)
+        failures += not v.passed
+    assert failures > 0
 
 
 # --------------------------------------------------------------- invariants

@@ -1,12 +1,14 @@
 """Command-line interface: reports, determinism, and exit codes."""
+import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from betacesaro import SymbolGBeta
-from betacesaro.cli import main
+from betacesaro import DomainError, SymbolGBeta
+from betacesaro.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -192,6 +194,9 @@ PROBE_EX26 = ["counterexample", "--alpha", "0.5", "--beta", "1", "--which", "Ex2
         (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5,abc"], "usage error:"),
         (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 400 + "]"], "error:"),
         (["bound", "--alpha", "-1", "--beta", "-2"], "error:"),
+        (["eigenfunction", "--beta", "1", "--n", "1", "--N", "-5"], "usage error:"),
+        (["spectrum", "--beta", "1", "--N", "0"], "usage error:"),
+        (["matrix", "--beta", "1", "--N", "2.5"], "usage error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, argv, prefix):
@@ -200,6 +205,41 @@ def test_malformed_input_is_one_line_error(capsys, argv, prefix):
     assert out == ""
     assert err.startswith(prefix)
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_bad_default_order_env_is_one_line_error(capsys, monkeypatch, value):
+    # BCL_DEFAULT_N follows the rule of --N: an integer >= 1
+    monkeypatch.setenv("BCL_DEFAULT_N", value)
+    code, out, err = run(capsys, "spectrum", "--beta", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BCL_DEFAULT_N")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report is not valid JSON: {name}")
+
+
+def test_undefined_fit_is_null_not_infinity(capsys, tmp_path):
+    # a = 1, b = 1, beta = 0, h = -1: the symbol vanishes, every image norm
+    # is 0, and no exponent can be fitted
+    path = tmp_path / "g0.json"
+    symbol = {"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0, "h": {"coeffs": [[-1, 0]]}}
+    path.write_text(json.dumps(symbol))
+    code, out, err = run(capsys, "compactness", "--alpha", "2", "--symbol", str(path))
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["result"]["fitted_exponent"] is None
+    assert all(v == 0 for _, v in report["result"]["samples"])
+
+
+def test_non_finite_report_is_one_line_error(capsys):
+    args = argparse.Namespace(command="bound", format="json", out=None)
+    with pytest.raises(DomainError, match="non-finite"):
+        _emit(args, {"constant": math.inf}, None)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,46 @@ def test_symbol_series_with_constant_h():
     np.testing.assert_allclose(out.coeffs, [-1, 1, 1])
 
 
+def _twin(s):
+    """A fresh symbol with the same definition, so with no series built yet."""
+    return SymbolGBeta(terms=s.terms, beta=s.beta, h=s.h)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    small=st.integers(0, 300),
+    large=st.integers(1, 600),
+)
+@settings(max_examples=40, deadline=None)
+def test_symbol_series_is_built_once_and_truncated_exactly(seed, small, large):
+    # the symbol keeps the longest series asked for; shorter ones are its
+    # prefixes, bit for bit equal to series built from scratch
+    s = random_symbol(np.random.default_rng(seed))
+    symbol_series(s, small)
+    symbol_series(s, small + large)
+    for order in (small, small + large, small + large // 2, small + large + 7):
+        got = symbol_series(s, order).coeffs
+        want = symbol_series(_twin(s), order).coeffs
+        assert got.tobytes() == want.tobytes()
+
+
+def test_symbol_memo_is_not_part_of_the_value():
+    s = random_symbol(np.random.default_rng(5))
+    fresh = _twin(s)
+    text, shown = s.to_json(), repr(s)
+    symbol_series(s, 64)
+    assert s == fresh
+    assert repr(s) == shown == repr(fresh)
+    assert s.to_json() == text == fresh.to_json()
+
+
+def test_symbol_series_rejects_negative_order():
+    s = SymbolGBeta.beta_cesaro(1.0)
+    symbol_series(s, 8)
+    with pytest.raises(DomainError):
+        symbol_series(s, -2)
+
+
 # ------------------------------------------------------------- application
 
 
