@@ -238,7 +238,7 @@ def _essnorm(args):
         {"dilation": d, "max_distance": v, "argmax_member": lab}
         for (d, v), lab in zip(report.samples, report.labels)
     ]
-    code = EXIT_OK if report.verdict != "inconsistent" else EXIT_VERDICT
+    code = EXIT_OK if report.verdict == "essential-norm-zero-consistent" else EXIT_VERDICT
     return result, (["dilation", "max_distance"], report.samples), code
 
 
@@ -364,10 +364,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built on the first call of main and reused: parsing never changes a parser,
+# and BCL_DEFAULT_N is read when a command runs, not when the parser is built
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         result, csv_view, code = COMMANDS[args.command].run(args)
         _emit(args, result, csv_view)
         return code

@@ -104,7 +104,10 @@ def null_family(
 
 def _decay_verdict(values: list[float], ok: str, bad: str) -> str:
     """Consistent when the tail past the first factor-10 drop stays
-    monotonically decreasing (up to estimation noise)."""
+    monotonically decreasing (up to estimation noise); inconclusive with
+    fewer than two values, which show no trend either way."""
+    if len(values) < 2:
+        return "inconclusive"
     first = values[0]
     k0 = None
     for i, v in enumerate(values):

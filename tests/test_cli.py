@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betacesaro import DomainError, SymbolGBeta
+from betacesaro import DomainError, SymbolGBeta, cli
 from betacesaro.cli import _emit, main
 
 
@@ -140,6 +140,20 @@ def test_compactness_exit_codes(capsys):
     )
     assert code == 2
     assert json.loads(out)["result"]["verdict"] == "inconsistent"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5"],
+        ["compactness", "--alpha", "2", "--beta", "0", "--m-max", "1"],
+    ],
+)
+def test_single_sample_probe_is_inconclusive(capsys, argv):
+    # one sample shows no trend either way: neither consistent nor inconsistent
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["result"]["verdict"] == "inconclusive"
 
 
 # ------------------------------------------------------------- error paths
@@ -305,3 +319,50 @@ def test_output_written_to_file(tmp_path):
     assert main(["classify", "--alpha", "2", "--beta", "1", "--out", str(path)]) == 0
     report = json.loads(path.read_text())
     assert report["schema"] == "bcl-report/1"
+
+
+# --help of the program and of each command, recorded once at 80 columns
+# under Python 3.11; argparse takes its width from COLUMNS
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_help_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", HELP_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_help_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
+    first = ["spectrum", "--beta", "1", "--N", "4"]
+    code, report, _ = run(capsys, *first)
+    assert code == 0
+    code, out, err = run(capsys, "spectrum", "--beta", "1", "--N", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: betacesaro spectrum")
+    # the order comes from the environment at run time, not from a parse
+    # that happened before
+    monkeypatch.setenv("BCL_DEFAULT_N", "8")
+    assert len(run_json(capsys, "spectrum", "--beta", "1")["result"]["eigenvalues"]) == 8
+    monkeypatch.delenv("BCL_DEFAULT_N")
+    code, again, _ = run(capsys, *first)
+    assert code == 0
+    assert again.encode() == report.encode()
+    assert len(calls) <= 1
