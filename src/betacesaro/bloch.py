@@ -203,9 +203,10 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     )
 
 
-def bloch_norm(f: PowerSeries, p: BlochParams, g: SampleGrid) -> float:
-    """|f(0)| + seminorm estimate (the Banach-space norm on the full space)."""
-    return abs(complex(f.coeffs[0])) + seminorm_estimate(f, p, g).value
+def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSeries, float]:
+    """f scaled to unit estimated seminorm, and the estimate it was scaled by."""
+    value = seminorm_estimate(f, p, g).value
+    return f.scale(1.0 / value), value
 
 
 def growth_bound(p: BlochParams, r: float, seminorm: float, f0: float) -> float:

@@ -41,7 +41,7 @@ from .operators import (
     preimage_under_cesaro,
     truncated_spectrum,
 )
-from .series import DEFAULT_ORDER, PowerSeries
+from .series import _TAIL_WINDOW, DEFAULT_ORDER, PowerSeries
 
 SCHEMA = "bcl-report/1"
 
@@ -116,7 +116,7 @@ def _series_from_args(args, pad=False) -> PowerSeries:
     f = PowerSeries.from_pairs(pairs)
     if pad:
         # pad polynomials so trailing zeros mark them tail-free on the grid
-        return f.truncate(max(f.order + 16, _default_order()))
+        return f.truncate(max(f.order + _TAIL_WINDOW, _default_order()))
     return f
 
 
@@ -221,7 +221,7 @@ def _counterexample(args):
 def _compactness(args):
     p = BlochParams(args.alpha)
     grid = _grid_from_args(args)
-    fam = null_family(args.kind, args.m_max, p, grid)
+    fam = null_family(args.kind, args.m_max, p, grid, order=_default_order())
     report = compactness_probe(_symbol_from_args(args), p, fam, grid)
     code = EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
     return report.to_dict(), (["m", "image_norm"], report.samples), code
@@ -231,7 +231,7 @@ def _essnorm(args):
     p = BlochParams(args.alpha)
     grid = _grid_from_args(args)
     dilations = [float(t) for t in args.dilations.split(",")]
-    family = default_test_family(p, grid)
+    family = default_test_family(p, grid, order=_default_order())
     report = essential_norm_probe(_symbol_from_args(args), p, dilations, family, grid)
     result = report.to_dict()
     result["per_dilation"] = [

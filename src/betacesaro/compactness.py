@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, eval_on_grid, seminorm_estimate
+from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
 from .bounds import ProbeReport
 from .errors import DomainError
 from .operators import SymbolGBeta, apply_generalized, compact_approximant
@@ -38,7 +38,6 @@ class NullFamily:
     members: tuple[PowerSeries, ...]
     normalization: tuple[float, ...]
     verified_null: bool
-    degenerate: bool = False
 
 
 def _half_disk_sup(f: PowerSeries) -> float:
@@ -53,53 +52,36 @@ def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
 
 
 def null_family(
-    kind: str,
-    m_max: int,
-    p: BlochParams,
-    g: SampleGrid,
-    base: PowerSeries | None = None,
-    order: int = DEFAULT_ORDER,
+    kind: str, m_max: int, p: BlochParams, g: SampleGrid, order: int = DEFAULT_ORDER
 ) -> NullFamily:
-    """Construct the monomial or dilation family, normalized to unit
-    estimated seminorm, and verify the compact-subset decay numerically.
+    """Construct the family m = 1..m_max of the given kind, normalized to
+    unit estimated seminorm, and verify the compact-subset decay numerically.
 
-    Degenerate dilation families (for example a linear base, which dilation
-    merely rescales) are flagged, not rejected.
+    The monomial family is z^m; the dilation family is -log(1-z) dilated by
+    1 - 2^-m.
     """
     if m_max < 1:
         raise DomainError("null_family requires m_max >= 1")
-    members = []
-    norms = []
     if kind == "monomial":
-        for m in range(1, m_max + 1):
-            f = PowerSeries.monomial(m, order=max(order, 2 * m))
-            nrm = seminorm_estimate(f, p, g).value
-            members.append(f.scale(1.0 / nrm))
-            norms.append(nrm)
-        degenerate = False
+        raw = [PowerSeries.monomial(m, order=max(order, 2 * m)) for m in range(1, m_max + 1)]
     elif kind == "dilation":
-        if base is None:
-            base = truncated_log_witness(order)
-        if base.coeffs[0] != 0:
-            raise DomainError("dilation base must vanish at the origin")
-        for m in range(1, m_max + 1):
-            r = 1.0 - 2.0 ** (-m)
-            f = PowerSeries(base.coeffs * r ** np.arange(base.order + 1))
-            nrm = seminorm_estimate(f, p, g).value
-            members.append(f.scale(1.0 / nrm))
-            norms.append(nrm)
-        # a linear base dilates to a scalar multiple of itself: constant family
-        degenerate = base.order < 2 or np.all(base.coeffs[2:] == 0)
+        w = truncated_log_witness(order)
+        raw = [w.dilate(1.0 - 2.0 ** (-m)) for m in range(1, m_max + 1)]
     else:
         raise DomainError(f"unknown family kind {kind!r}")
+    members, norms = zip(*(normalize(f, p, g) for f in raw))
     verified = _half_disk_sup(members[-1]) < NULL_SUP_THRESHOLD
-    return NullFamily(
-        kind=kind,
-        members=tuple(members),
-        normalization=tuple(norms),
-        verified_null=verified,
-        degenerate=degenerate,
-    )
+    return NullFamily(kind=kind, members=members, normalization=norms, verified_null=verified)
+
+
+def _log_slope(x: np.ndarray | list[float], values: list[float]) -> float | None:
+    """Slope of the least-squares line through (x, log v) over the samples
+    with v > 0; None when fewer than two are positive."""
+    pos = [(xi, v) for xi, v in zip(x, values) if v > 0]
+    if len(pos) < 2:
+        return None
+    xs, vs = zip(*pos)
+    return float(np.polyfit(xs, np.log(vs), 1)[0])
 
 
 def _decay_verdict(values: list[float], ok: str, bad: str) -> str:
@@ -132,13 +114,6 @@ def compactness_probe(
         seminorm_estimate(apply_generalized(f, s), p, g).value for f in fam.members
     ]
     ms = np.arange(1, len(values) + 1, dtype=float)
-    pos = [(m, v) for m, v in zip(ms, values) if v > 0]
-    if len(pos) >= 2:
-        logm = np.log([m for m, _ in pos])
-        logv = np.log([v for _, v in pos])
-        slope = float(np.polyfit(logm, logv, 1)[0])
-    else:
-        slope = None
     verdict = (
         "compact-consistent"
         if all(v == 0 for v in values)
@@ -146,7 +121,7 @@ def compactness_probe(
     )
     return ProbeReport(
         samples=tuple(zip(ms, values)),
-        fitted_exponent=slope,
+        fitted_exponent=_log_slope(np.log(ms), values),
         verdict=verdict,
         labels=(fam.kind,),
     )
@@ -157,13 +132,9 @@ def default_test_family(
 ) -> list[PowerSeries]:
     """Normalized monomials z^m, m <= m_max, plus the normalized truncation
     of -log(1-z): the extremal witnesses of the counterexample regimes."""
-    members = []
-    for m in range(1, m_max + 1):
-        f = PowerSeries.monomial(m, order=max(order, 2 * m))
-        members.append(f.scale(1.0 / seminorm_estimate(f, p, g).value))
-    w = truncated_log_witness(order)
-    members.append(w.scale(1.0 / seminorm_estimate(w, p, g).value))
-    return members
+    members = [PowerSeries.monomial(m, order=max(order, 2 * m)) for m in range(1, m_max + 1)]
+    members.append(truncated_log_witness(order))
+    return [normalize(f, p, g)[0] for f in members]
 
 
 def essential_norm_probe(
@@ -196,18 +167,11 @@ def essential_norm_probe(
         samples.append((d, best))
         argmax_labels.append(f"member-{best_i}")
     values = [v for _, v in samples]
-    # decay rate of the distance in -log(1-s)
-    pos = [(d, v) for d, v in samples if v > 0]
-    if len(pos) >= 2:
-        x = [-math.log1p(-d) for d, _ in pos]
-        y = [math.log(v) for _, v in pos]
-        slope = float(np.polyfit(x, y, 1)[0])
-    else:
-        slope = None
     verdict = _decay_verdict(values, "essential-norm-zero-consistent", "inconsistent")
     return ProbeReport(
         samples=tuple(samples),
-        fitted_exponent=slope,
+        # decay rate of the distance in -log(1-s)
+        fitted_exponent=_log_slope([-math.log1p(-d) for d in ds], values),
         verdict=verdict,
         labels=tuple(argmax_labels),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, eval_on_grid, seminorm_estimate
+from .bloch import BlochParams, SampleGrid, normalize, seminorm_estimate
 from .bounds import classify, compare
 from .errors import DomainError, SpectrumEmptyError
 from .series import (
@@ -70,10 +70,6 @@ class SymbolGBeta:
 
     def value_at_zero(self) -> complex:
         return sum(a for a, _ in self.terms) + complex(self.h.coeffs[0])
-
-    def h_sup_norm(self, grid: SampleGrid) -> float:
-        """Grid estimate of the sup norm of the bounded part h."""
-        return float(np.max(np.abs(eval_on_grid(self.h, grid))))
 
     # -- serialization -----------------------------------------------------
 
@@ -258,8 +254,7 @@ def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> Powe
     operator is compact for every dilation < 1."""
     if not 0 < dilation < 1:
         raise DomainError("dilation must lie in (0, 1)")
-    scaled = PowerSeries(f.coeffs * dilation ** np.arange(f.order + 1))
-    return apply_generalized(scaled, s)
+    return apply_generalized(f.dilate(dilation), s)
 
 
 def approximate_eigen_probe(
@@ -271,11 +266,8 @@ def approximate_eigen_probe(
     if n < 1:
         raise DomainError("approximate_eigen_probe requires n >= 1")
     order = max(order, 2 * n)
-    f = PowerSeries.monomial(n, order=order, scale=1.0 / n)
-    norm = seminorm_estimate(f, p, g).value
-    h_n = f.scale(1.0 / norm)
-    out = apply_generalized(h_n, s)
-    return seminorm_estimate(out, p, g).value
+    h_n, _ = normalize(PowerSeries.monomial(n, order=order, scale=1.0 / n), p, g)
+    return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 
 
 def preimage_under_cesaro(g: PowerSeries) -> PowerSeries:

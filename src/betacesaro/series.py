@@ -77,6 +77,10 @@ class PowerSeries:
     def scale(self, c: complex) -> "PowerSeries":
         return PowerSeries(self.coeffs * c)
 
+    def dilate(self, r: float) -> "PowerSeries":
+        """The dilation f(rz): coefficient n scaled by r**n."""
+        return PowerSeries(self.coeffs * r ** np.arange(self.order + 1))
+
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
@@ -187,14 +191,6 @@ def tail_estimate(f: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     applied.
     """
     return float(np.max(np.abs(f.coeffs[-_TAIL_WINDOW:]))) * r ** (f.order + 1) / (1.0 - r)
-
-
-def ps_eval(f: PowerSeries, z: complex) -> tuple[complex, float]:
-    """Horner evaluation of the truncation at |z| < 1, with tail estimate."""
-    if abs(z) >= 1:
-        raise DomainError("ps_eval requires |z| < 1")
-    value = complex(np.polynomial.polynomial.polyval(z, f.coeffs))
-    return value, tail_estimate(f, abs(z))
 
 
 def eval_on_points(f: PowerSeries, z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from betacesaro import (
     SampleGrid,
     SymbolGBeta,
     apply_generalized,
-    bloch_norm,
     default_grid,
     growth_bound,
     growth_check,
@@ -241,21 +240,6 @@ def test_seminorm_excludes_untrusted_radii(grid):
     est = seminorm_estimate(truncated_log_witness(512), BlochParams(1.0), grid)
     assert est.n_excluded > 0
     assert est.max_tail <= 1e-6 * (1.0 + est.value)
-
-
-# ------------------------------------------------------------- bloch_norm
-
-
-def test_bloch_norm_identity(grid):
-    assert bloch_norm(PowerSeries([0, 1]).truncate(32), BlochParams(1.0), grid) == 1.0
-
-
-def test_bloch_norm_affine(grid):
-    assert bloch_norm(PowerSeries([1, 1]).truncate(32), BlochParams(1.0), grid) == 2.0
-
-
-def test_bloch_norm_zero(grid):
-    assert bloch_norm(PowerSeries.zero(4), BlochParams(1.0), grid) == 0.0
 
 
 # ------------------------------------------------------------ growth bound

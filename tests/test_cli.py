@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betacesaro import DomainError, SymbolGBeta, cli
+from betacesaro import (
+    BlochParams,
+    DomainError,
+    SymbolGBeta,
+    cli,
+    compactness_probe,
+    default_grid,
+    default_test_family,
+    essential_norm_probe,
+    null_family,
+)
 from betacesaro.cli import _emit, main
 
 
@@ -308,10 +318,44 @@ def test_default_order_env_override(capsys, monkeypatch):
     assert len(report["result"]["eigenvalues"]) == 8
 
 
-def test_bad_env_override_falls_back(capsys, monkeypatch):
+def test_order_flag_wins_and_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("BCL_DEFAULT_N", "garbage")
     report = run_json(capsys, "spectrum", "--beta", "1", "--N", "3")
     assert len(report["result"]["eigenvalues"]) == 3
+
+
+def _library_probe(command):
+    # the reports of the probe commands at their CLI defaults, built at order 8
+    p, grid, s = BlochParams(2.0), default_grid(), SymbolGBeta.beta_cesaro(1.0)
+    if command == "compactness":
+        fam = null_family("monomial", 3, p, grid, order=8)
+        return compactness_probe(s, p, fam, grid).to_dict()
+    family = default_test_family(p, grid, order=8)
+    return essential_norm_probe(s, p, [0.5, 0.9, 0.99, 0.999], family, grid).to_dict()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compactness", "--alpha", "2", "--beta", "1", "--m-max", "3"],
+        ["essnorm", "--alpha", "2", "--beta", "1"],
+    ],
+)
+def test_probe_commands_read_default_order_env(capsys, monkeypatch, argv):
+    monkeypatch.setenv("BCL_DEFAULT_N", "8")
+    _, out, err = run(capsys, *argv)
+    result = json.loads(out)["result"]
+    expected = json.loads(json.dumps(_library_probe(argv[0])))
+    assert {k: result[k] for k in expected} == expected, err
+
+
+@pytest.mark.parametrize("command", ["compactness", "essnorm"])
+def test_probe_commands_reject_bad_default_order_env(capsys, monkeypatch, command):
+    monkeypatch.setenv("BCL_DEFAULT_N", "abc")
+    code, out, err = run(capsys, command, "--alpha", "2", "--beta", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BCL_DEFAULT_N")
 
 
 def test_output_written_to_file(tmp_path):

@@ -26,7 +26,6 @@ def test_monomial_family_half_disk_decay(grid):
     p = BlochParams(1.0)
     fam = null_family("monomial", 12, p, grid)
     assert fam.kind == "monomial"
-    assert not fam.degenerate
     # |z|^m <= 2^-m on the half disk, divided by the normalization
     sup = _half_disk_sup(fam.members[9])
     assert sup <= 2**-10 / fam.normalization[9] + 1e-12
@@ -42,18 +41,14 @@ def test_monomial_family_first_member_is_identity(grid):
     np.testing.assert_allclose(fam.members[0].coeffs[:2], [0, 1])
 
 
-def test_dilation_of_linear_base_flagged_degenerate(grid):
-    fam = null_family("dilation", 4, BlochParams(1.0), grid, base=PowerSeries([0, 1]).truncate(8))
-    assert fam.degenerate
-    # every member is the same normalized function z
-    for m in fam.members:
-        np.testing.assert_allclose(m.coeffs[:2], [0, 1], atol=1e-12)
-
-
 def test_dilation_default_base_is_log_witness(grid):
     fam = null_family("dilation", 3, BlochParams(1.0), grid)
-    assert not fam.degenerate
     assert len(fam.members) == 3
+    # member m is -log(1 - r z) / its seminorm, with r = 1 - 2^-m
+    w = truncated_log_witness(256)
+    for m, (f, nrm) in enumerate(zip(fam.members, fam.normalization), start=1):
+        want = w.coeffs * (1.0 - 2.0**-m) ** np.arange(257)
+        np.testing.assert_allclose(f.coeffs * nrm, want, rtol=1e-15)
 
 
 def test_null_family_rejects_bad_kind(grid):
@@ -61,11 +56,6 @@ def test_null_family_rejects_bad_kind(grid):
         null_family("fourier", 4, BlochParams(1.0), grid)
     with pytest.raises(DomainError):
         null_family("monomial", 0, BlochParams(1.0), grid)
-
-
-def test_dilation_base_must_vanish_at_origin(grid):
-    with pytest.raises(DomainError):
-        null_family("dilation", 3, BlochParams(1.0), grid, base=PowerSeries([1, 1]))
 
 
 # -------------------------------------------------------- compactness probe

@@ -14,11 +14,11 @@ from betacesaro import (
     pochhammer,
     ps_derivative,
     ps_div_by_z,
-    ps_eval,
     ps_exp,
     ps_integrate,
     ps_mul,
 )
+from betacesaro.series import eval_on_points, tail_estimate
 
 # ---------------------------------------------------------------- strategies
 
@@ -230,43 +230,37 @@ def test_div_by_z_rejects_nonzero_origin():
         ps_div_by_z(PowerSeries([1, 1]))
 
 
-# ------------------------------------------------------------------ ps_eval
+# ------------------------------------------------- evaluation and tail bound
 
 
 def test_eval_linear_no_tail():
     # the identity function, stored padded so the trailing-coefficient
     # window is empty of mass and the tail majorant vanishes
-    value, tail = ps_eval(PowerSeries([0, 1]).truncate(32), 0.5)
-    assert value == 0.5
-    assert tail == 0.0
+    f = PowerSeries([0, 1]).truncate(32)
+    assert eval_on_points(f, np.array([0.5]))[0] == 0.5
+    assert tail_estimate(f, 0.5) == 0.0
 
 
 def test_eval_unpadded_reports_heuristic_tail():
     # stored at its bare degree, the same polynomial's trailing window
     # still contains the leading coefficient, so the majorant formula
     # M |z|^(N+1) / (1 - |z|) reports 1 * 0.25 / 0.5
-    _, tail = ps_eval(PowerSeries([0, 1]), 0.5)
-    assert tail == pytest.approx(0.5)
+    assert tail_estimate(PowerSeries([0, 1]), 0.5) == pytest.approx(0.5)
 
 
 def test_eval_geometric():
     f = PowerSeries(np.ones(65))
-    value, tail = ps_eval(f, 0.5)
-    assert value == pytest.approx(2.0, abs=1e-15)
-    assert tail == pytest.approx(0.5**65 / 0.5)
-
-
-def test_eval_rejects_boundary():
-    with pytest.raises(DomainError):
-        ps_eval(PowerSeries([0, 1]), 1.0)
-    with pytest.raises(DomainError):
-        ps_eval(PowerSeries([0, 1]), complex(0, 1))
+    assert eval_on_points(f, np.array([0.5]))[0] == pytest.approx(2.0, abs=1e-15)
+    assert tail_estimate(f, 0.5) == pytest.approx(0.5**65 / 0.5)
 
 
 def test_padded_polynomial_has_zero_tail():
-    f = PowerSeries([0, 1, 2]).truncate(64)
-    _, tail = ps_eval(f, 0.99)
-    assert tail == 0.0
+    assert tail_estimate(PowerSeries([0, 1, 2]).truncate(64), 0.99) == 0.0
+
+
+def test_dilate_scales_coefficient_n_by_r_to_the_n():
+    f = PowerSeries([1, 2, 3, 4])
+    np.testing.assert_array_equal(f.dilate(0.5).coeffs, [1, 1, 0.75, 0.5])
 
 
 # --------------------------------------------------------- value semantics
