@@ -204,8 +204,14 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
 
 
 def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSeries, float]:
-    """f scaled to unit estimated seminorm, and the estimate it was scaled by."""
+    """f scaled to unit estimated seminorm, and the estimate it was scaled by.
+
+    An estimate of 0 (a constant f, or an order too low for any nonzero
+    ring to pass the tail screen) cannot be scaled to 1 and is a DomainError.
+    """
     value = seminorm_estimate(f, p, g).value
+    if value == 0:
+        raise DomainError("member has zero estimated seminorm at this order")
     return f.scale(1.0 / value), value
 
 

@@ -19,7 +19,7 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
-from betacesaro.bloch import GROWTH_SLACK, TAIL_EXCLUSION, _eval_on_rings, eval_on_grid
+from betacesaro.bloch import GROWTH_SLACK, TAIL_EXCLUSION, _eval_on_rings, eval_on_grid, normalize
 from betacesaro.series import eval_on_points, ps_derivative, tail_estimate
 
 from .conftest import random_poly
@@ -240,6 +240,24 @@ def test_seminorm_excludes_untrusted_radii(grid):
     est = seminorm_estimate(truncated_log_witness(512), BlochParams(1.0), grid)
     assert est.n_excluded > 0
     assert est.max_tail <= 1e-6 * (1.0 + est.value)
+
+
+def test_normalize_scales_to_unit_seminorm(coarse_grid):
+    p = BlochParams(2.0)
+    f = PowerSeries.monomial(3, order=32, scale=5.0)
+    unit, value = normalize(f, p, coarse_grid)
+    assert value == seminorm_estimate(f, p, coarse_grid).value
+    assert seminorm_estimate(unit, p, coarse_grid).value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_normalize_rejects_zero_estimate(coarse_grid):
+    p = BlochParams(2.0)
+    with pytest.raises(DomainError, match="zero estimated seminorm"):
+        normalize(PowerSeries(np.array([1.0, 0.0, 0.0])), p, coarse_grid)
+    # z^2 stored at order 4: its derivative's tail window holds the
+    # coefficient 2, so only the ring r = 0 is kept and the estimate is 0
+    with pytest.raises(DomainError, match="zero estimated seminorm"):
+        normalize(PowerSeries.monomial(2, order=4), p, coarse_grid)
 
 
 # ------------------------------------------------------------ growth bound

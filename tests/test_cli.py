@@ -358,6 +358,18 @@ def test_probe_commands_reject_bad_default_order_env(capsys, monkeypatch, comman
     assert err.startswith("error: BCL_DEFAULT_N")
 
 
+@pytest.mark.parametrize("command", ["compactness", "essnorm"])
+def test_probe_commands_reject_too_low_default_order_env(capsys, monkeypatch, command):
+    # at order 4 the family member z^2 has a zero seminorm estimate on the
+    # default grid, so it cannot be normalized: a one-line error, not a traceback
+    monkeypatch.setenv("BCL_DEFAULT_N", "4")
+    code, out, err = run(capsys, command, "--alpha", "2", "--beta", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: member has zero estimated seminorm")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_output_written_to_file(tmp_path):
     path = tmp_path / "out.json"
     assert main(["classify", "--alpha", "2", "--beta", "1", "--out", str(path)]) == 0
