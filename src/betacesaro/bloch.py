@@ -29,9 +29,6 @@ TAIL_EXCLUSION = 1e-6
 # Absolute slack granted to the growth-bound comparison.
 GROWTH_SLACK = 1e-8
 
-# Largest deviation of a grid angle from 2*pi*k/A that SampleGrid accepts.
-_ANGLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BlochParams:
@@ -46,38 +43,30 @@ class BlochParams:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Polar sampling grid: strictly increasing radii x the uniform angles
-    2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes."""
+    """Polar sampling grid: strictly increasing radii x the n_angles uniform
+    angles 2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes."""
 
     radii: np.ndarray
-    angles: np.ndarray
+    n_angles: int
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
-        a = np.asarray(self.angles, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("radii must be a nonempty vector")
         if np.any(np.diff(r) <= 0):
             raise DomainError("radii must be strictly increasing")
         if r[-1] >= 1 or r[0] < 0:
             raise DomainError("radii must lie in [0, 1)")
-        if a.ndim != 1 or a.size == 0 or np.any(
-            np.abs(a - 2.0 * math.pi * np.arange(a.size) / a.size) > _ANGLE_TOL
-        ):
-            raise DomainError("angles must be 2*pi*k/A for k = 0..A-1")
+        if type(self.n_angles) is not int or self.n_angles < 1:  # bool and float are not counts
+            raise DomainError(f"n_angles must be an integer >= 1, got {self.n_angles!r}")
         r.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "angles", a)
-
-    @property
-    def r_max(self) -> float:
-        return float(self.radii[-1])
 
     @cached_property
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radii, n_angles)."""
-        return self.radii[:, None] * np.exp(1j * self.angles[None, :])
+        angles = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
+        return self.radii[:, None] * np.exp(1j * angles[None, :])
 
     def weights(self, alpha: float) -> np.ndarray:
         """(1 - r^2)^alpha per radius."""
@@ -90,17 +79,16 @@ def default_grid(
     r_max: float = DEFAULT_R_MAX,
 ) -> SampleGrid:
     """Radii 1 - rho^k, k = 0..n_radial, clustering geometrically toward the
-    boundary with r_{n_radial} = r_max; angles uniform on [0, 2*pi)."""
+    boundary with r_{n_radial} = r_max, x n_angular uniform angles."""
     if not 0 < r_max < 1:
         raise DomainError("r_max must lie in (0, 1)")
-    if n_radial < 1 or n_angular < 1:
-        raise DomainError("grid needs at least one radius and one angle")
+    if n_radial < 1:
+        raise DomainError("grid needs at least one radius")
     rho = (1.0 - r_max) ** (1.0 / n_radial)
     radii = 1.0 - rho ** np.arange(n_radial + 1)
     radii[0] = 0.0
     radii[-1] = r_max
-    angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    return SampleGrid(radii=radii, angles=angles)
+    return SampleGrid(radii=radii, n_angles=n_angular)
 
 
 def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
@@ -112,7 +100,7 @@ def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
     blocks of A coefficients, so the whole grid costs O(R (N + A log A)) for
     R radii instead of the O(R A N) of Horner at every point.
     """
-    return _eval_on_rings(f, g.radii, g.angles.size)
+    return _eval_on_rings(f, g.radii, g.n_angles)
 
 
 def _eval_on_rings(f: PowerSeries, radii: np.ndarray, n_angles: int) -> np.ndarray:
@@ -173,7 +161,7 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     d = ps_derivative(f)
     weights = g.weights(p.alpha)
     tails = tail_estimate(d, g.radii)
-    n_radii, n_angles = g.radii.size, g.angles.size
+    n_radii, n_angles = g.radii.size, g.n_angles
 
     passes = []
     best = 0.0

@@ -37,17 +37,17 @@ _T_HI = 1.0 - 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _sup_on_unit_interval(fn, n_coarse: int = 4096) -> float:
+def _sup_on_unit_interval(fn) -> float:
     """Supremum of fn over [0, 1), by coarse scan plus golden-section polish.
 
     fn maps an array of t to an array of values.  Boundary suprema are
     reported as the value at 1 - 1e-9.
     """
-    t = np.linspace(0.0, _T_HI, n_coarse + 1)
+    t = np.linspace(0.0, _T_HI, 4096 + 1)
     vals = fn(t)
     k = int(np.argmax(vals))
     lo = t[max(k - 1, 0)]
-    hi = t[min(k + 1, n_coarse)]
+    hi = t[min(k + 1, t.size - 1)]
     # golden-section refinement of the bracketing interval
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
@@ -226,8 +226,8 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
     )
 
 
-def default_probe_ts(t_max: float = 0.9999, n: int = 12) -> list[float]:
-    """Sample abscissas clustering toward 1, spanning up to t_max.
+def default_probe_ts(t_max: float = 0.9999) -> list[float]:
+    """Twelve sample abscissas clustering toward 1, spanning up to t_max.
 
     Sampling starts no lower than t = 0.9 so that the slowly varying
     (1+t)-factors of the probe quantities are effectively constant and do
@@ -237,6 +237,7 @@ def default_probe_ts(t_max: float = 0.9999, n: int = 12) -> list[float]:
         raise DomainError("t_max must lie in (0, 1)")
     lmax = -math.log1p(-t_max)
     lmin = min(-math.log1p(-0.9), 0.5 * lmax)
+    n = 12
     return [1.0 - math.exp(-(lmin + (lmax - lmin) * k / (n - 1))) for k in range(n)]
 
 

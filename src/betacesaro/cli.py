@@ -14,10 +14,12 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bloch import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DEFAULT_R_MAX
 from .bloch import BlochParams, default_grid, seminorm_estimate
 from .bounds import (
     bound_constant,
@@ -31,7 +33,7 @@ from .compactness import (
     essential_norm_probe,
     null_family,
 )
-from .errors import DomainError, SpectrumEmptyError
+from .errors import DomainError
 from .operators import (
     SymbolGBeta,
     apply_beta_cesaro,
@@ -51,12 +53,19 @@ EXIT_VERDICT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors must map to exit status 1, not argparse's default 2
+    # usage errors exit 1, not argparse's 2, and --help returns 0 from main
     def error(self, message):
         raise _UsageError(message)
 
+    def exit(self, status=0, message=None):
+        raise _ParserExit(status)
+
 
 class _UsageError(Exception):
+    pass
+
+
+class _ParserExit(Exception):
     pass
 
 
@@ -104,26 +113,24 @@ def _order(args) -> int:
     return _default_order() if args.order is None else args.order
 
 
-def _series_from_args(args, pad=False) -> PowerSeries:
-    if args.f_file:
-        with open(args.f_file) as fh:
-            data = json.load(fh)
-        pairs = data["coeffs"] if isinstance(data, dict) else data
-    elif args.f:
-        pairs = json.loads(args.f)
-    else:
+def _series_from_args(args) -> PowerSeries:
+    if not (args.f_file or args.f):
         raise _UsageError("missing series input --f or --f-file")
-    f = PowerSeries.from_pairs(pairs)
-    if pad:
-        # pad polynomials so trailing zeros mark them tail-free on the grid
-        return f.truncate(max(f.order + _TAIL_WINDOW, _default_order()))
-    return f
+    try:
+        data = json.loads(Path(args.f_file).read_text("utf-8") if args.f_file else args.f)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"malformed series: {exc}") from None
+    if args.f_file and isinstance(data, dict):
+        data = data.get("coeffs")  # a series file may be {"coeffs": [...]}
+    return PowerSeries.from_pairs(data)
 
 
 def _symbol_from_args(args) -> SymbolGBeta:
     if args.symbol:
-        with open(args.symbol) as fh:
-            return SymbolGBeta.from_json(fh.read())
+        try:
+            return SymbolGBeta.from_json(Path(args.symbol).read_text("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"malformed symbol file: {exc}") from None
     if args.beta is not None:
         return SymbolGBeta.beta_cesaro(args.beta)
     raise _UsageError("missing --symbol or --beta")
@@ -170,7 +177,9 @@ def _series_csv(f: PowerSeries):
 
 
 def _seminorm(args):
-    f = _series_from_args(args, pad=True)
+    f = _series_from_args(args)
+    # pad polynomials so trailing zeros mark them tail-free on the grid
+    f = f.truncate(max(f.order + _TAIL_WINDOW, _default_order()))
     est = seminorm_estimate(f, BlochParams(args.alpha), _grid_from_args(args))
     row = [est.value, est.argmax.real, est.argmax.imag, est.max_tail]
     return est.to_dict(), (["value", "argmax_re", "argmax_im", "max_tail"], [row]), EXIT_OK
@@ -264,9 +273,9 @@ _OUTPUT = (
     _arg("--format", choices=["json", "csv"], default="json"),
 )
 _GRID = (
-    _arg("--grid-radial", type=int, default=64),
-    _arg("--grid-angular", type=int, default=128),
-    _arg("--rmax", type=_finite_float, default=0.999),
+    _arg("--grid-radial", type=int, default=DEFAULT_N_RADIAL),
+    _arg("--grid-angular", type=int, default=DEFAULT_N_ANGULAR),
+    _arg("--rmax", type=_finite_float, default=DEFAULT_R_MAX),
 )
 _SYMBOL = (
     _arg("--symbol", help="symbol JSON file"),
@@ -378,10 +387,12 @@ def main(argv=None) -> int:
         result, csv_view, code = COMMANDS[args.command].run(args)
         _emit(args, result, csv_view)
         return code
+    except _ParserExit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, SpectrumEmptyError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,7 +26,7 @@ DECAY_FACTOR = 0.1
 # Compact-subset check: members must fall below this sup on |z| <= 1/2.
 NULL_SUP_THRESHOLD = 1e-3
 
-_HALF_DISK = SampleGrid(radii=np.array([0.5]), angles=2.0 * math.pi * np.arange(64) / 64)
+_HALF_DISK = SampleGrid(np.array([0.5]), 64)
 
 
 @dataclass(frozen=True)

@@ -88,14 +88,15 @@ class SymbolGBeta:
     @staticmethod
     def from_json(text: str) -> "SymbolGBeta":
         """Parse the format written by to_json; any other shape is a DomainError."""
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             terms = tuple(
                 (complex(t["a"][0], t["a"][1]), complex(math.cos(t["b_angle"]), math.sin(t["b_angle"])))
                 for t in data["terms"]
             )
             beta, h = float(data["beta"]), data.get("h", {}).get("coeffs", [0.0])
-        except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError) as exc:
+        except (TypeError, ValueError, LookupError, AttributeError, OverflowError,
+                RecursionError) as exc:
             raise DomainError(f"malformed symbol file: {exc!r}") from None
         return SymbolGBeta(terms=terms, beta=beta, h=PowerSeries.from_pairs(h))
 
@@ -184,7 +185,7 @@ class SpectrumReport:
     """Predicted point spectrum {g(0)/n} with an admissibility verdict."""
 
     base: complex                      # g(0); eigenvalues are base / n
-    leading: tuple[complex, ...]       # first few predicted eigenvalues
+    leading: tuple[complex, ...]       # g(0)/n for n = 1..16
     empty: bool                        # true when g(0) = 0
     covered: bool                      # parameter regime handled at all
     admissible: bool | None            # condition verdict (None when n/a)
@@ -203,7 +204,7 @@ class SpectrumReport:
         }
 
 
-def point_spectrum(s: SymbolGBeta, alpha: float, leading: int = 16) -> SpectrumReport:
+def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
     """Predicted eigenvalue set of the operator, with the parameter-regime
     conditions evaluated as verdicts rather than exceptions."""
     g0 = s.value_at_zero()
@@ -212,7 +213,7 @@ def point_spectrum(s: SymbolGBeta, alpha: float, leading: int = 16) -> SpectrumR
             base=0j, leading=(), empty=True, covered=True, admissible=None,
             per_term=(), note="symbol vanishes at the origin: empty point spectrum",
         )
-    evs = tuple(g0 / n for n in range(1, leading + 1))
+    evs = tuple(g0 / n for n in range(1, 17))
     beta = s.beta
 
     if compare(beta, 1.0) == 0:
@@ -257,15 +258,13 @@ def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> Powe
     return apply_generalized(f.dilate(dilation), s)
 
 
-def approximate_eigen_probe(
-    s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid, order: int = DEFAULT_ORDER
-) -> float:
+def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
     """Norm of the operator applied to the normalized monomial unit vector
     z^n / (n ||z^n / n||); tends to 0 like 1/n, witnessing the approximate
     eigenvalue 0."""
     if n < 1:
         raise DomainError("approximate_eigen_probe requires n >= 1")
-    order = max(order, 2 * n)
+    order = max(DEFAULT_ORDER, 2 * n)
     h_n, _ = normalize(PowerSeries.monomial(n, order=order, scale=1.0 / n), p, g)
     return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 

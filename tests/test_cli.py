@@ -205,6 +205,13 @@ def test_bad_inline_series_is_error(capsys):
 
 PROBE_EX26 = ["counterexample", "--alpha", "0.5", "--beta", "1", "--which", "Ex26"]
 
+# argv entries that name a file with these bytes, written into tmp_path
+INPUT_FILES = {
+    "non-utf8.json": b"[0, 1\xff]",
+    "no-coeffs.json": b'{"coefs": [0, 1]}',
+    "g0.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0, "h": {"coeffs": [[-1, 0]]}}',
+}
+
 
 @pytest.mark.parametrize(
     "argv, prefix",
@@ -221,9 +228,16 @@ PROBE_EX26 = ["counterexample", "--alpha", "0.5", "--beta", "1", "--which", "Ex2
         (["eigenfunction", "--beta", "1", "--n", "1", "--N", "-5"], "usage error:"),
         (["spectrum", "--beta", "1", "--N", "0"], "usage error:"),
         (["matrix", "--beta", "1", "--N", "2.5"], "usage error:"),
+        (["apply", "--beta", "0", "--f", "[" * 100_000], "error:"),
+        (["apply", "--beta", "0", "--f-file", "non-utf8.json"], "error:"),
+        (["apply", "--beta", "0", "--f-file", "no-coeffs.json"], "error:"),
+        (["eigenfunction", "--symbol", "g0.json", "--n", "1", "--N", "4"], "error:"),
     ],
 )
-def test_malformed_input_is_one_line_error(capsys, argv, prefix):
+def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
+    for name, data in INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -273,11 +287,14 @@ def test_non_finite_report_is_one_line_error(capsys):
         [1, 2],
         {"terms": [], "beta": "x"},
         {"terms": [{"a": [1, 0], "b_angle": "q"}], "beta": 1},
+        pytest.param(b"{not json", id="invalid-json"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"terms": [], "beta": 1\xff}', id="non-utf8"),
     ],
 )
 def test_wrong_symbol_shape_is_one_line_error(capsys, tmp_path, shape):
     path = tmp_path / "symbol.json"
-    path.write_text(json.dumps(shape))
+    path.write_bytes(shape if isinstance(shape, bytes) else json.dumps(shape).encode())
     code, out, err = run(capsys, "spectrum", "--symbol", str(path), "--N", "4")
     assert code == 1
     assert out == ""
@@ -387,9 +404,7 @@ HELP_GOLDEN = json.loads(
 @pytest.mark.parametrize("case", HELP_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_help_text(capsys, monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(case["argv"])
-    assert exc.value.code == 0
+    assert main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
 
 
@@ -409,9 +424,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     code, out, err = run(capsys, "spectrum", "--beta", "1", "--N", "0")
     assert (code, out) == (1, "")
     assert err.startswith("usage error:")
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--help"])
-    assert exc.value.code == 0
+    assert main(["spectrum", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: betacesaro spectrum")
     # the order comes from the environment at run time, not from a parse
     # that happened before
