@@ -109,11 +109,16 @@ def _eval_on_rings(f: PowerSeries, radii: np.ndarray, n_angles: int) -> np.ndarr
     c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
     r = radii[:, None]
     step = r**n_angles
+    # in place: a (radii x A) temporary per block would cost fresh pages
+    # whenever it is too large for the allocator to reuse
     folded = np.zeros((radii.size, n_angles), dtype=np.complex128)
     for block in c.reshape(-1, n_angles)[::-1]:
-        folded = folded * step + block
+        folded *= step
+        folded += block
     folded *= r ** np.arange(n_angles)
-    return np.fft.ifft(folded, axis=1) * n_angles
+    out = np.fft.ifft(folded, axis=1)
+    out *= n_angles
+    return out
 
 
 @dataclass(frozen=True)

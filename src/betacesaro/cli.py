@@ -41,7 +41,7 @@ from .operators import (
     eigenfunction_psi,
     operator_matrix,
     preimage_under_cesaro,
-    truncated_spectrum,
+    symbol_spectrum,
 )
 from .series import _TAIL_WINDOW, DEFAULT_ORDER, PowerSeries
 
@@ -201,7 +201,7 @@ def _matrix(args):
 
 
 def _spectrum(args):
-    spec = truncated_spectrum(operator_matrix(_symbol_from_args(args), _order(args)))
+    spec = symbol_spectrum(_symbol_from_args(args), _order(args))
     pairs = [[ev.real, ev.imag] for ev in spec]
     return {"eigenvalues": pairs}, (["re", "im"], pairs), EXIT_OK
 

@@ -159,7 +159,19 @@ def operator_matrix(s: SymbolGBeta, n: int) -> OperatorMatrix:
 def truncated_spectrum(m: OperatorMatrix) -> list[complex]:
     """Exact eigenvalues of the truncation: the diagonal, sorted by
     decreasing modulus."""
-    diag = np.diag(m.entries)
+    return _by_modulus(np.diag(m.entries))
+
+
+def symbol_spectrum(s: SymbolGBeta, n: int) -> list[complex]:
+    """The same eigenvalues as truncated_spectrum(operator_matrix(s, n)),
+    read from gamma_0 without building the n x n matrix: its diagonal is
+    gamma_0 / m for m = 1..n."""
+    if n < 1:
+        raise DomainError("symbol_spectrum requires N >= 1")
+    return _by_modulus(symbol_series(s, 0).coeffs / np.arange(1, n + 1))
+
+
+def _by_modulus(diag: np.ndarray) -> list[complex]:
     order = np.argsort(-np.abs(diag), kind="stable")
     return [complex(diag[i]) for i in order]
 

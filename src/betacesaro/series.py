@@ -136,26 +136,45 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
 
 
 def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to min(order_f, order_g)."""
+    """Cauchy product truncated to n = min(order_f, order_g).
+
+    Only the span from the first to the last nonzero coefficient of each
+    operand is convolved, cut to the outputs of degree <= n, and the product
+    is written at its offset.  The cost is O(span_f * span_g) multiply-adds
+    by direct summation, so a monomial or a padded polynomial costs its
+    span, not O(n**2).
+    """
     n = min(f.order, g.order)
-    prod = np.convolve(f.coeffs[: n + 1], g.coeffs[: n + 1])[: n + 1]
-    return PowerSeries(prod)
+    out = np.zeros(n + 1, dtype=np.complex128)
+    a, b = f.coeffs[: n + 1], g.coeffs[: n + 1]
+    nz_a, nz_b = a.nonzero()[0], b.nonzero()[0]
+    if nz_a.size and nz_b.size and nz_a[0] + nz_b[0] <= n:
+        lo_a, lo_b = nz_a[0], nz_b[0]
+        span_a = a[lo_a : min(nz_a[-1], n - lo_b) + 1]
+        span_b = b[lo_b : min(nz_b[-1], n - lo_a) + 1]
+        lo = lo_a + lo_b
+        prod = np.convolve(span_a, span_b)[: n + 1 - lo]
+        out[lo : lo + prod.size] = prod
+    return PowerSeries(out)
 
 
 def ps_exp(u: PowerSeries) -> PowerSeries:
     """exp(u) at the same order; u must have zero constant term.
 
     Uses e_0 = 1, e_m = (1/m) * sum_{k=1..m} k*u_k*e_{m-k}, which keeps the
-    result single-valued and branch-free.
+    result single-valued and branch-free.  The k*u_k are held reversed, so
+    each e_m is one BLAS dot product of two contiguous slices: N dot
+    products, O(N**2) multiply-adds in all.
     """
     if u.coeffs[0] != 0:
         raise DomainError("ps_exp requires a zero constant term")
     n = u.order
     e = np.zeros(n + 1, dtype=np.complex128)
     e[0] = 1.0
-    ku = np.arange(n + 1) * u.coeffs
+    # ku_rev[n - k] = k * u_k
+    ku_rev = np.arange(n, -1, -1) * u.coeffs[::-1]
     for m in range(1, n + 1):
-        e[m] = np.dot(ku[1 : m + 1], e[m - 1 :: -1][: m]) / m
+        e[m] = np.dot(e[:m], ku_rev[n - m : n]) / m
     return PowerSeries(e)
 
 

@@ -27,6 +27,7 @@ from betacesaro import (
     truncated_spectrum,
 )
 from betacesaro.bloch import eval_on_grid
+from betacesaro.operators import symbol_spectrum
 from betacesaro.series import eval_on_points
 
 from .conftest import random_poly
@@ -238,6 +239,27 @@ def test_spectrum_scales_with_symbol():
     np.testing.assert_allclose(b, (2 + 1j) * np.array(a))
 
 
+def _two_term_symbol():
+    return SymbolGBeta(
+        terms=((1.5 - 0.5j, 1.0), (-0.7 + 0.2j, complex(math.cos(2.0), math.sin(2.0)))),
+        beta=0.75,
+        h=PowerSeries([0.1 + 0.3j, -0.2, 0.05j]),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4, 257])
+def test_symbol_spectrum_equals_matrix_diagonal_bit_for_bit(n):
+    # two fresh symbols, so each path builds its own symbol series
+    got = symbol_spectrum(_two_term_symbol(), n)
+    want = truncated_spectrum(operator_matrix(_two_term_symbol(), n))
+    assert np.array_equal(np.array(got).view(np.float64), np.array(want).view(np.float64))
+
+
+def test_symbol_spectrum_rejects_empty():
+    with pytest.raises(DomainError):
+        symbol_spectrum(SymbolGBeta.alexander(), 0)
+
+
 # ------------------------------------------------------------ eigenfunctions
 
 
@@ -292,6 +314,23 @@ def test_eigen_identity_random_symbols(seed, n, beta):
     f = _eigenvector(s, n, 128)
     out = apply_generalized(f, s)
     want = f.scale(g0 / n)
+    err = np.abs(out.coeffs - want.coeffs) / (1.0 + np.abs(want.coeffs))
+    assert float(np.max(err)) < 1e-10
+
+
+def test_eigen_identity_at_order_4096_over_twenty_decades():
+    # with g(0) = 0.1 the exponent n/g(0) is large, so psi's coefficients
+    # span more than twenty decades; the check is per coefficient, which a
+    # normwise-accurate product (FFT) does not meet at this range
+    s = SymbolGBeta(
+        terms=((1.0, 1.0), (-0.9, complex(math.cos(2.0), math.sin(2.0)))),
+        beta=1.0,
+        h=PowerSeries([0.0, 0.3, -0.2j]),
+    )
+    f = _eigenvector(s, 1, 4096)
+    assert float(np.max(np.abs(f.coeffs))) > 1e20
+    out = apply_generalized(f, s)
+    want = f.scale(s.value_at_zero())
     err = np.abs(out.coeffs - want.coeffs) / (1.0 + np.abs(want.coeffs))
     assert float(np.max(err)) < 1e-10
 

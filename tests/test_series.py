@@ -123,6 +123,54 @@ def test_mul_identity():
     np.testing.assert_array_equal(ps_mul(f, one).coeffs, f.coeffs)
 
 
+@st.composite
+def sparse_coeffs(draw, order):
+    """Coefficients c_0..c_order: a zero run, a drawn core (possibly empty,
+    so the operand may be all zero), then zeros to the end."""
+    lead = draw(st.integers(0, order + 1))
+    core = draw(st.lists(coeff, max_size=order + 1 - lead))
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[lead : lead + len(core)] = core
+    return c
+
+
+@st.composite
+def sparse_pair(draw, max_order=40):
+    a = draw(sparse_coeffs(draw(st.integers(0, max_order))))
+    b = draw(sparse_coeffs(draw(st.integers(0, max_order))))
+    return a, b
+
+
+def dense_product(a, b):
+    n = min(a.size, b.size) - 1
+    return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
+
+
+@given(pair=sparse_pair())
+@example(pair=(np.zeros(5, dtype=np.complex128), np.ones(9, dtype=np.complex128)))
+@example(pair=(np.array([0, 0, 0, 1, 1j]), np.array([0, 0, 2, 3, 0, 0, 0])))
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_dense_convolution(pair):
+    a, b = pair
+    out = ps_mul(PowerSeries(a), PowerSeries(b)).coeffs
+    n = min(a.size, b.size) - 1
+    assert out.shape == (n + 1,)
+    scale = 1.0 + np.convolve(np.abs(a[: n + 1]), np.abs(b[: n + 1]))[: n + 1]
+    assert np.all(np.abs(out - dense_product(a, b)) <= 1e-13 * scale)
+
+
+@given(pair=sparse_pair(), k=st.integers(0, 40), c=coeff, swap=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_mul_by_single_term_is_bit_exact(pair, k, c, swap):
+    a, _ = pair
+    mono = np.zeros(max(k + 1, a.size), dtype=np.complex128)
+    mono[k] = c if c != 0 else 1.0
+    f, g = (mono, a) if swap else (a, mono)
+    out = ps_mul(PowerSeries(f), PowerSeries(g)).coeffs
+    want = dense_product(f, g)
+    assert np.array_equal(out.view(np.float64), want.view(np.float64))
+
+
 @given(f=series_strategy(16), g=series_strategy(16))
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative(f, g):
@@ -154,6 +202,32 @@ def test_exp_of_z():
 def test_exp_of_log_series():
     out = ps_exp(PowerSeries([0, 1, 0.5, 1 / 3]))
     np.testing.assert_allclose(out.coeffs, [1, 1, 1, 1])
+
+
+def exp_reference(u: np.ndarray) -> np.ndarray:
+    """The recurrence e_m = (1/m) sum_k k u_k e_{m-k}, summed over the
+    reversed strided view of e."""
+    n = u.size - 1
+    e = np.zeros(n + 1, dtype=np.complex128)
+    e[0] = 1.0
+    ku = np.arange(n + 1) * u
+    for m in range(1, n + 1):
+        e[m] = np.dot(ku[1 : m + 1], e[m - 1 :: -1][:m]) / m
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exp_matches_strided_reference(n, seed):
+    # |u_k| <= sqrt(2)/(k+1), so exp(|u|) has polynomially growing
+    # coefficients: no overflow at any order here
+    rng = np.random.default_rng(seed)
+    u = (rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)) / np.arange(1, n + 2)
+    u[0] = 0.0
+    got = ps_exp(PowerSeries(u)).coeffs
+    # relative to the absolute-value series, which bounds every partial sum
+    majorant = exp_reference(np.abs(u).astype(np.complex128)).real
+    assert np.all(np.abs(got - exp_reference(u)) <= 1e-13 * majorant)
 
 
 def test_exp_rejects_nonzero_constant():
