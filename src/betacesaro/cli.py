@@ -150,6 +150,8 @@ def _config_of(args) -> dict:
 def _emit(args, result: dict, csv_view) -> None:
     if args.format == "csv":
         header, rows = csv_view
+        if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
+            raise DomainError("report holds a non-finite number")
         buf = io.StringIO()
         writer = csv.writer(buf)
         if header:
@@ -179,7 +181,7 @@ def _series_csv(f: PowerSeries):
 def _seminorm(args):
     f = _series_from_args(args)
     # pad polynomials so trailing zeros mark them tail-free on the grid
-    f = f.truncate(max(f.order + _TAIL_WINDOW, _default_order()))
+    f = f.truncate(f.order + _TAIL_WINDOW)
     est = seminorm_estimate(f, BlochParams(args.alpha), _grid_from_args(args))
     row = [est.value, est.argmax.real, est.argmax.imag, est.max_tail]
     return est.to_dict(), (["value", "argmax_re", "argmax_im", "max_tail"], [row]), EXIT_OK
@@ -384,8 +386,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        result, csv_view, code = COMMANDS[args.command].run(args)
-        _emit(args, result, csv_view)
+        # an overflow becomes inf or nan, which PowerSeries and _emit reject
+        # with one line; numpy's warning would add lines before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result, csv_view, code = COMMANDS[args.command].run(args)
+            _emit(args, result, csv_view)
         return code
     except _ParserExit as exc:
         return exc.args[0]

@@ -147,13 +147,16 @@ class OperatorMatrix:
 
 
 def operator_matrix(s: SymbolGBeta, n: int) -> OperatorMatrix:
+    """The n x n lower-triangular Toeplitz matrix of gamma_0..gamma_{n-1},
+    row m scaled by 1/m.  Row m is a window of the reversed, zero-padded
+    gamma, so no index array is built; the result itself takes O(n**2)
+    memory, 16 n**2 bytes (268 MB at n = 4096)."""
     if n < 1:
         raise DomainError("operator_matrix requires N >= 1")
     gamma = symbol_series(s, n - 1).coeffs
-    entries = np.zeros((n, n), dtype=np.complex128)
-    for m in range(1, n + 1):
-        entries[m - 1, :m] = gamma[m - 1 :: -1] / m
-    return OperatorMatrix(entries=entries)
+    padded = np.concatenate((gamma[::-1], np.zeros(n - 1)))
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+    return OperatorMatrix(entries=toeplitz / np.arange(1, n + 1)[:, None])
 
 
 def truncated_spectrum(m: OperatorMatrix) -> list[complex]:
@@ -176,20 +179,27 @@ def _by_modulus(diag: np.ndarray) -> list[complex]:
     return [complex(diag[i]) for i in order]
 
 
+def _vanishes(g0: complex) -> bool:
+    """Whether g(0) is 0 up to REGIME_TOL; the point spectrum is then empty."""
+    return compare(abs(g0), 0.0) == 0
+
+
 def eigenfunction_psi(s: SymbolGBeta, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Candidate eigenfunction factor psi_n; the full eigenvector is z^n * psi_n.
 
-    psi_n = exp((n / g(0)) * integral of (g(w) - g(0)) / w).
+    psi_n = exp((n / g(0)) * integral of (g(w) - g(0)) / w).  gamma_0 is
+    g(0) bit for bit (both sum the same terms in the same order), so
+    (g(w) - g(0)) / w has the coefficients gamma_1..gamma_order.
     """
     if n < 1:
         raise DomainError("eigenfunction_psi requires n >= 1")
+    if order < 1:
+        raise DomainError("eigenfunction_psi requires order >= 1")
     g0 = s.value_at_zero()
-    if g0 == 0:
+    if _vanishes(g0):
         raise SpectrumEmptyError("symbol vanishes at the origin: no eigenfunctions")
-    gamma = symbol_series(s, order)
-    centered = PowerSeries(gamma.coeffs - g0 * np.eye(1, order + 1, 0).ravel())
-    u = ps_integrate(ps_div_by_z(centered)).truncate(order).scale(n / g0)
-    return ps_exp(u)
+    gamma = symbol_series(s, order).coeffs
+    return ps_exp(ps_integrate(PowerSeries(gamma[1:])).scale(n / g0))
 
 
 @dataclass(frozen=True)
@@ -220,45 +230,32 @@ def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
     """Predicted eigenvalue set of the operator, with the parameter-regime
     conditions evaluated as verdicts rather than exceptions."""
     g0 = s.value_at_zero()
-    if abs(g0) < 1e-14:
-        return SpectrumReport(
-            base=0j, leading=(), empty=True, covered=True, admissible=None,
-            per_term=(), note="symbol vanishes at the origin: empty point spectrum",
-        )
-    evs = tuple(g0 / n for n in range(1, 17))
+    empty = _vanishes(g0)
     beta = s.beta
-
-    if compare(beta, 1.0) == 0:
-        if compare(alpha, 1.0) >= 0:
-            per = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
-            return SpectrumReport(
-                base=g0, leading=evs, empty=False, covered=True,
-                admissible=all(ok for _, ok in per), per_term=per,
-                note="requires Re(a_j/g(0)) <= 0 for every term",
-            )
-        return SpectrumReport(
-            base=g0, leading=evs, empty=False, covered=False, admissible=None,
-            per_term=(), note="beta = 1 with alpha < 1: not covered",
-        )
-    if compare(beta, 0.0) == 0:
-        return SpectrumReport(
-            base=g0, leading=evs, empty=False, covered=True, admissible=True,
-            per_term=(), note="unconditional",
-        )
-    if compare(beta, 0.0) > 0 and compare(beta, 1.0) < 0:
-        covered = classify(alpha, beta).bounded
-        note = (
-            "unconditional; certified for beta < m/(m+1) for every m, i.e. beta < 1"
-            if covered
-            else "0 < beta < 1 with beta > alpha < 1: not covered"
-        )
-        return SpectrumReport(
-            base=g0, leading=evs, empty=False, covered=covered,
-            admissible=True if covered else None, per_term=(), note=note,
-        )
+    # (covered, admissible, per_term, note) of the regime
+    if empty:
+        regime = (True, None, (), "symbol vanishes at the origin: empty point spectrum")
+    elif compare(beta, 1.0) == 0 and compare(alpha, 1.0) >= 0:
+        per = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
+        note = "requires Re(a_j/g(0)) <= 0 for every term"
+        regime = (True, all(ok for _, ok in per), per, note)
+    elif compare(beta, 1.0) == 0:
+        regime = (False, None, (), "beta = 1 with alpha < 1: not covered")
+    elif compare(beta, 0.0) == 0:
+        regime = (True, True, (), "unconditional")
+    elif compare(beta, 0.0) > 0 and compare(beta, 1.0) < 0:
+        if classify(alpha, beta).bounded:
+            note = "unconditional; certified for beta < m/(m+1) for every m, i.e. beta < 1"
+            regime = (True, True, (), note)
+        else:
+            regime = (False, None, (), "0 < beta < 1 with beta > alpha < 1: not covered")
+    else:
+        regime = (False, None, (), "parameter combination not covered")
+    covered, admissible, per_term, note = regime
     return SpectrumReport(
-        base=g0, leading=evs, empty=False, covered=False, admissible=None,
-        per_term=(), note="parameter combination not covered",
+        base=0j if empty else g0,
+        leading=() if empty else tuple(g0 / n for n in range(1, 17)),
+        empty=empty, covered=covered, admissible=admissible, per_term=per_term, note=note,
     )
 
 
@@ -271,13 +268,12 @@ def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> Powe
 
 
 def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
-    """Norm of the operator applied to the normalized monomial unit vector
-    z^n / (n ||z^n / n||); tends to 0 like 1/n, witnessing the approximate
-    eigenvalue 0."""
+    """Norm of the operator applied to the unit vector z^n / ||z^n||; tends
+    to 0 like 1/n, witnessing the approximate eigenvalue 0."""
     if n < 1:
         raise DomainError("approximate_eigen_probe requires n >= 1")
     order = max(DEFAULT_ORDER, 2 * n)
-    h_n, _ = normalize(PowerSeries.monomial(n, order=order, scale=1.0 / n), p, g)
+    h_n, _ = normalize(PowerSeries.monomial(n, order=order), p, g)
     return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 
 

@@ -21,20 +21,6 @@ DEFAULT_ORDER = 256
 _TAIL_WINDOW = 16
 
 
-def pochhammer(a: complex, n: int) -> complex:
-    """Shifted factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1.
-
-    Computed by a running product; gamma-function quotients overflow for
-    n > 170 and are deliberately avoided.
-    """
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = complex(1.0)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated Taylor coefficients c_0..c_N of an analytic function."""
@@ -59,11 +45,11 @@ class PowerSeries:
         return PowerSeries(np.zeros(order + 1))
 
     @staticmethod
-    def monomial(n: int, order: int | None = None, scale: complex = 1.0) -> "PowerSeries":
-        """scale * z**n, stored to the given order (default n)."""
+    def monomial(n: int, order: int | None = None) -> "PowerSeries":
+        """z**n, stored to the given order (default n)."""
         order = n if order is None else order
         c = np.zeros(max(order, n) + 1, dtype=np.complex128)
-        c[n] = scale
+        c[n] = 1.0
         return PowerSeries(c)
 
     def truncate(self, order: int) -> "PowerSeries":

@@ -5,6 +5,13 @@ import pytest
 from betacesaro import PowerSeries, default_grid
 
 
+@pytest.fixture(autouse=True)
+def _no_default_order_env(monkeypatch):
+    """Run every test at the default truncation order, whatever the shell
+    exports; a test that needs BCL_DEFAULT_N sets it itself."""
+    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
+
+
 @pytest.fixture(scope="session")
 def grid():
     """The default 64 x 128 grid with r_max = 0.999."""

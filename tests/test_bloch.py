@@ -228,7 +228,7 @@ def test_seminorm_excludes_untrusted_radii(grid):
 
 def test_normalize_scales_to_unit_seminorm(coarse_grid):
     p = BlochParams(2.0)
-    f = PowerSeries.monomial(3, order=32, scale=5.0)
+    f = PowerSeries.monomial(3, order=32).scale(5.0)
     unit, value = normalize(f, p, coarse_grid)
     assert value == seminorm_estimate(f, p, coarse_grid).value
     assert seminorm_estimate(unit, p, coarse_grid).value == pytest.approx(1.0, rel=1e-12)

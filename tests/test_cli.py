@@ -256,6 +256,56 @@ def test_bad_default_order_env_is_one_line_error(capsys, monkeypatch, value):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_seminorm_does_not_read_default_order_env(capsys, monkeypatch):
+    # the input is padded by the tail window only, so the report is the same
+    # whatever BCL_DEFAULT_N holds, and an invalid value is never read
+    argv = ["seminorm", "--alpha", "1", "--f", "[0,0.5,[0,-1],0.25]"]
+    code, unset, err = run(capsys, *argv)
+    assert code == 0, err
+    for value in ["1", "5000", "abc"]:
+        monkeypatch.setenv("BCL_DEFAULT_N", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode() == unset.encode()
+
+
+def _symbol_file(tmp_path, terms, h0):
+    path = tmp_path / "symbol.json"
+    terms = [{"a": [a, 0], "b_angle": angle} for a, angle in terms]
+    path.write_text(json.dumps({"terms": terms, "beta": 1, "h": {"coeffs": [[h0, 0]]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, symbol",
+    [
+        (["preimage", "--f", "[0,1e308,1e308]"], None),
+        (["seminorm", "--alpha", "1", "--f", "[0,1e308,1e308]"], None),
+        # the series is finite, its values on the grid overflow
+        (["seminorm", "--alpha", "1", "--f", "[0" + ",1e307" * 7 + "]", "--format", "csv"], None),
+        # g(0) = 0.001: psi's coefficients overflow
+        (["eigenfunction", "--n", "50"], ([(1.0, 0.0)], -0.999)),
+        # g(0) = 1e-15 vanishes up to REGIME_TOL: no eigenfunctions
+        (["eigenfunction", "--n", "1", "--N", "4"], ([(1.0, 0.0), (-1.0, math.pi)], 1e-15)),
+    ],
+    ids=[
+        "preimage-overflow",
+        "seminorm-overflow",
+        "seminorm-csv-overflow",
+        "psi-overflow",
+        "psi-vanishing-symbol",
+    ],
+)
+def test_overflow_and_vanishing_symbol_are_one_line_errors(capsys, tmp_path, argv, symbol):
+    if symbol:
+        argv = [*argv, "--symbol", _symbol_file(tmp_path, *symbol)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def _reject_constant(name):
     raise AssertionError(f"report is not valid JSON: {name}")
 
@@ -310,8 +360,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_report(capsys, monkeypatch, case):
-    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
+def test_golden_report(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out.encode() == case["stdout"].encode()
@@ -417,7 +466,6 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
     first = ["spectrum", "--beta", "1", "--N", "4"]
     code, report, _ = run(capsys, *first)
     assert code == 0

@@ -218,6 +218,27 @@ def test_matrix_agrees_with_apply(seed):
     np.testing.assert_allclose(out.coeffs[1:], via_matrix, atol=1e-12)
 
 
+def _row_loop_matrix(s, n):
+    """The operator matrix built one row at a time: row m is gamma_{m-1}..gamma_0 / m."""
+    gamma = symbol_series(s, n - 1).coeffs
+    entries = np.zeros((n, n), dtype=np.complex128)
+    for m in range(1, n + 1):
+        entries[m - 1, :m] = gamma[m - 1 :: -1] / m
+    return entries
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 1024])
+def test_matrix_equals_row_loop_bit_for_bit(n):
+    # two fresh symbols, so each path builds its own symbol series
+    got = operator_matrix(_two_term_symbol(), n).entries
+    assert _same_bits(got, _row_loop_matrix(_two_term_symbol(), n))
+
+
 # ------------------------------------------------------------------ spectra
 
 
@@ -283,6 +304,62 @@ def test_psi_requires_nonvanishing_symbol():
     s = SymbolGBeta(terms=((1.0, 1.0), (-1.0, -1.0)), beta=1.0)
     with pytest.raises(SpectrumEmptyError):
         eigenfunction_psi(s, 1, 4)
+
+
+def _centred_psi(s, n, order):
+    """psi_n with g - g(0) centred through an identity row and divided by z."""
+    g0 = s.value_at_zero()
+    gamma = symbol_series(s, order)
+    centered = PowerSeries(gamma.coeffs - g0 * np.eye(1, order + 1, 0).ravel())
+    return ps_exp(ps_integrate(ps_div_by_z(centered)).truncate(order).scale(n / g0))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 257, 1024])
+def test_psi_equals_centred_reference_bit_for_bit(n, order):
+    got = eigenfunction_psi(_two_term_symbol(), n, order).coeffs
+    assert _same_bits(got, _centred_psi(_two_term_symbol(), n, order).coeffs)
+
+
+def test_psi_rejects_order_zero():
+    with pytest.raises(DomainError, match="order >= 1"):
+        eigenfunction_psi(SymbolGBeta.alexander(), 1, 0)
+
+
+# magnitudes close enough that a different summation order rounds differently
+weight = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+
+
+@given(
+    weights=st.lists(weight, min_size=1, max_size=4),
+    h0=st.complex_numbers(max_magnitude=1e3),
+    beta=st.floats(-2, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_gamma_0_is_value_at_zero_bit_for_bit(weights, h0, beta):
+    points = [complex(math.cos(k), math.sin(k)) for k in range(len(weights))]
+    s = SymbolGBeta(terms=tuple(zip(weights, points)), beta=beta, h=PowerSeries([h0, 0.5]))
+    assert _same_bits(symbol_series(s, 3).coeffs[0], s.value_at_zero())
+
+
+def _symbol_with_value_at_zero(g0):
+    # a_1 + a_2 = 0 exactly, so g(0) is h's constant term
+    return SymbolGBeta(terms=((1.0, 1.0), (-1.0, -1.0)), beta=1.0, h=PowerSeries([g0]))
+
+
+@pytest.mark.parametrize(
+    "g0, vanishes", [(0.0, True), (1e-15, True), (5e-13, True), (2e-12, False), (1e-3, False)]
+)
+def test_point_spectrum_and_psi_share_the_vanishing_rule(g0, vanishes):
+    s = _symbol_with_value_at_zero(g0)
+    assert s.value_at_zero() == g0
+    assert point_spectrum(s, alpha=1.0).empty is vanishes
+    try:
+        eigenfunction_psi(s, 1, 4)
+        raised = False
+    except SpectrumEmptyError:
+        raised = True
+    assert raised is vanishes
 
 
 def _eigenvector(s, n, order):

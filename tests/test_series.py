@@ -11,7 +11,6 @@ from betacesaro import (
     DomainError,
     PowerSeries,
     binomial_series,
-    pochhammer,
     ps_derivative,
     ps_div_by_z,
     ps_exp,
@@ -35,29 +34,7 @@ def series_strategy(max_order=64, zero_constant=False):
     return st.lists(coeff, min_size=2, max_size=max_order + 1).map(build)
 
 
-# ---------------------------------------------------------------- pochhammer
-
-
-def test_pochhammer_empty_product():
-    assert pochhammer(0.5, 0) == 1
-
-
-def test_pochhammer_factorial():
-    assert pochhammer(1, 5) == 120
-
-
-def test_pochhammer_half():
-    assert pochhammer(0.5, 3) == pytest.approx(0.5 * 1.5 * 2.5)
-
-
-def test_pochhammer_negative_n_rejected():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
-
-
-def test_pochhammer_moderate_n_no_overflow():
-    v = pochhammer(0.5, 150)
-    assert math.isfinite(abs(v)) and abs(v) > 0
+# ---------------------------------------------------------- binomial_series
 
 
 def test_binomial_high_order_stays_finite():
@@ -65,9 +42,6 @@ def test_binomial_high_order_stays_finite():
     f = binomial_series(0.5, 1.0, 400)
     assert np.all(np.isfinite(f.coeffs))
     assert abs(f.coeffs[-1]) < 1.0
-
-
-# ---------------------------------------------------------- binomial_series
 
 
 def test_binomial_geometric():
@@ -86,7 +60,8 @@ def test_binomial_against_pochhammer():
     beta, b = 0.75, complex(math.cos(1.0), math.sin(1.0))
     f = binomial_series(beta, b, 40)
     for n in range(41):
-        want = pochhammer(beta, n) / math.factorial(n) * b**n
+        # (beta)_n = beta (beta + 1) ... (beta + n - 1)
+        want = math.prod(beta + k for k in range(n)) / math.factorial(n) * b**n
         assert f.coeffs[n] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
