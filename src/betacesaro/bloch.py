@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,15 @@ from .series import PowerSeries, ps_derivative, tail_estimate
 DEFAULT_N_RADIAL = 64
 DEFAULT_N_ANGULAR = 128
 DEFAULT_R_MAX = 0.999
+
+# Caps on the grid counts `default_grid` (and so the CLI) accepts.  A grid
+# keeps its points (16 B) and its ring table r^k (8 B) for each of its
+# (n_radial + 1) x n_angular points, at most 25.2 MB at the caps, and an
+# evaluation adds about 32 B per point of temporaries; `default_grid` keeps
+# at most GRID_CACHE_SIZE grids alive, so at most 101 MB.
+MAX_N_RADIAL = 1024
+MAX_N_ANGULAR = 1024
+GRID_CACHE_SIZE = 4
 
 # A grid point is excluded from the running max when its tail estimate
 # exceeds this fraction of (1 + current best value).
@@ -41,32 +50,62 @@ class BlochParams:
             raise DomainError("alpha must be positive")
 
 
+def _count(name: str, value, cap: int | None = None) -> int:
+    """value as a count >= 1, at most cap; bool and float are not counts."""
+    if type(value) is not int or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    if cap is not None and value > cap:
+        raise DomainError(f"{name} must be at most {cap}, got {value}")
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Polar sampling grid: strictly increasing radii x the n_angles uniform
-    angles 2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes."""
+    angles 2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes.
+
+    The grid is immutable: its radii and the tables it builds on first use
+    (the points and the ring powers of `eval_on_grid`) are read-only, so one
+    grid can serve every caller.
+    """
 
     radii: np.ndarray
     n_angles: int
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        r = np.array(self.radii, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("radii must be a nonempty vector")
+        if not np.all(np.isfinite(r)):
+            raise DomainError("radii must be finite")
         if np.any(np.diff(r) <= 0):
             raise DomainError("radii must be strictly increasing")
         if r[-1] >= 1 or r[0] < 0:
             raise DomainError("radii must lie in [0, 1)")
-        if type(self.n_angles) is not int or self.n_angles < 1:  # bool and float are not counts
-            raise DomainError(f"n_angles must be an integer >= 1, got {self.n_angles!r}")
-        r.setflags(write=False)
-        object.__setattr__(self, "radii", r)
+        _count("n_angles", self.n_angles)
+        object.__setattr__(self, "radii", _read_only(r))
 
     @cached_property
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radii, n_angles)."""
         angles = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
-        return self.radii[:, None] * np.exp(1j * angles[None, :])
+        return _read_only(self.radii[:, None] * np.exp(1j * angles[None, :]))
+
+    @cached_property
+    def ring_powers(self) -> np.ndarray:
+        """r^k for k < n_angles, shape (n_radii, n_angles): the factor of
+        bin k of a ring's fold."""
+        return _read_only(self.radii[:, None] ** np.arange(self.n_angles))
+
+    @cached_property
+    def ring_steps(self) -> np.ndarray:
+        """r^n_angles, shape (n_radii, 1): the Horner step between blocks."""
+        return _read_only(self.radii[:, None] ** self.n_angles)
 
     def weights(self, alpha: float) -> np.ndarray:
         """(1 - r^2)^alpha per radius."""
@@ -79,11 +118,21 @@ def default_grid(
     r_max: float = DEFAULT_R_MAX,
 ) -> SampleGrid:
     """Radii 1 - rho^k, k = 0..n_radial, clustering geometrically toward the
-    boundary with r_{n_radial} = r_max, x n_angular uniform angles."""
+    boundary with r_{n_radial} = r_max, x n_angular uniform angles.
+
+    Equal arguments return one shared grid, so its tables are built once;
+    counts above MAX_N_RADIAL / MAX_N_ANGULAR are rejected before any array
+    is allocated.
+    """
     if not 0 < r_max < 1:
         raise DomainError("r_max must lie in (0, 1)")
-    if n_radial < 1:
-        raise DomainError("grid needs at least one radius")
+    n_radial = _count("n_radial", n_radial, MAX_N_RADIAL)
+    n_angular = _count("n_angular", n_angular, MAX_N_ANGULAR)
+    return _shared_grid(n_radial, n_angular, float(r_max))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _shared_grid(n_radial: int, n_angular: int, r_max: float) -> SampleGrid:
     rho = (1.0 - r_max) ** (1.0 / n_radial)
     radii = 1.0 - rho ** np.arange(n_radial + 1)
     radii[0] = 0.0
@@ -97,26 +146,32 @@ def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
     On the ring |z| = r the values at the angles 2*pi*k/A are A times the
     inverse DFT of the coefficients c_n r^n folded mod A.  The fold of bin k
     is r^k * sum_q c_{k+qA} (r^A)^q, summed by Horner's rule in r^A over the
-    blocks of A coefficients, so the whole grid costs O(R (N + A log A)) for
-    R radii instead of the O(R A N) of Horner at every point.
+    blocks of A coefficients up to the last nonzero one, so the whole grid
+    costs O(R (D + A log A)) for R radii and last nonzero degree D, instead
+    of the O(R A N) of Horner at every point.  The tables r^k and r^A are
+    the grid's own, built on its first evaluation.
     """
-    return _eval_on_rings(f, g.radii, g.n_angles)
+    return _eval_on_rings(f, g, slice(None))
 
 
-def _eval_on_rings(f: PowerSeries, radii: np.ndarray, n_angles: int) -> np.ndarray:
-    """`eval_on_grid` on the rings of the given radii only; every operation
+def _eval_on_rings(f: PowerSeries, g: SampleGrid, rings: slice) -> np.ndarray:
+    """`eval_on_grid` on the rings g.radii[rings] only; every operation
     acts row by row, so each row equals the full grid's row bit for bit."""
-    c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
-    r = radii[:, None]
-    step = r**n_angles
+    n_angles = g.n_angles
+    nonzero = np.flatnonzero(f.coeffs)
+    # all-zero blocks past the last nonzero coefficient leave the fold at +0
+    n_blocks = int(nonzero[-1]) // n_angles + 1 if nonzero.size else 0
+    c = np.zeros(n_blocks * n_angles, dtype=np.complex128)
+    c[: min(c.size, f.coeffs.size)] = f.coeffs[: c.size]
+    step = g.ring_steps[rings]
     # in place: a (radii x A) temporary per block would cost fresh pages
     # whenever it is too large for the allocator to reuse
-    folded = np.zeros((radii.size, n_angles), dtype=np.complex128)
+    folded = np.zeros((step.size, n_angles), dtype=np.complex128)
     for block in c.reshape(-1, n_angles)[::-1]:
         folded *= step
         folded += block
-    folded *= r ** np.arange(n_angles)
-    out = np.fft.ifft(folded, axis=1)
+    folded *= g.ring_powers[rings]
+    out = np.fft.ifft(folded, axis=1, out=folded)
     out *= n_angles
     return out
 
@@ -168,7 +223,7 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     tails = tail_estimate(d, g.radii)
     n_radii, n_angles = g.radii.size, g.n_angles
 
-    passes = []
+    tops = []  # (value, ring, angle) of the first maximizing point of each pass
     best = 0.0
     n_kept = 0
     while n_kept < n_radii:
@@ -177,17 +232,19 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
         if stop == n_kept:
             break
         rings = slice(n_kept, stop)
-        prods = weights[rings, None] * np.abs(_eval_on_rings(d, g.radii[rings], n_angles))
-        best = np.maximum(best, prods.max())
-        passes.append(prods)
+        prods = weights[rings, None] * np.abs(_eval_on_rings(d, g, rings))
+        k = int(np.argmax(prods))
+        i, j = divmod(k, n_angles)
+        tops.append((prods[i, j], n_kept + i, j))
+        best = np.maximum(best, prods[i, j])
         n_kept = stop
 
     n_excluded = (n_radii - n_kept) * n_angles
     if n_kept == 0:
         return SeminormEstimate(value=0.0, argmax=0j, max_tail=0.0, n_excluded=n_excluded)
-    prods = np.concatenate(passes)
-    i, j = np.unravel_index(np.argmax(prods), prods.shape)
-    value = float(prods[i, j])
+    # np.argmax picks the first pass holding the maximum, as over the whole grid
+    value, i, j = tops[int(np.argmax([top[0] for top in tops]))]
+    value = float(value)
     return SeminormEstimate(
         value=value,
         argmax=complex(g.points[i, j]) if value > 0 else 0j,
@@ -208,21 +265,34 @@ def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSerie
     return f.scale(1.0 / value), value
 
 
-def growth_bound(p: BlochParams, r: float, seminorm: float, f0: float) -> float:
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to each element as a Python float, so libm computes it
+    (NumPy's SIMD log and power can differ from libm in the last bit)."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def growth_bound(p: BlochParams, r: float | np.ndarray, seminorm: float, f0: float) -> float | np.ndarray:
     """Pointwise growth bound for |f(z)| at |z| = r, by compare(alpha, 1):
 
     alpha < 1: f0 + seminorm / (1 - alpha)                       (bounded case)
     alpha = 1: f0 + (seminorm / 2) * log((1+r)/(1-r))
     alpha > 1: f0 + (seminorm / (alpha-1)) * ((1-r)^(1-alpha) - 1)
+
+    r is a radius or an array of radii; the result is a float or an array
+    of the same shape.
     """
-    if not 0 <= r < 1:
+    r = np.asarray(r, dtype=float)
+    if not np.all((r >= 0) & (r < 1)):
         raise DomainError("growth_bound requires 0 <= r < 1")
     a = p.alpha
-    if compare(a, 1.0) < 0:
-        return f0 + seminorm / (1.0 - a)
-    if compare(a, 1.0) == 0:
-        return f0 + 0.5 * seminorm * math.log((1.0 + r) / (1.0 - r))
-    return f0 + seminorm / (a - 1.0) * ((1.0 - r) ** (1.0 - a) - 1.0)
+    regime = compare(a, 1.0)
+    if regime < 0:
+        bound = np.full(r.shape, f0 + seminorm / (1.0 - a))
+    elif regime == 0:
+        bound = f0 + 0.5 * seminorm * _per_element(math.log, (1.0 + r) / (1.0 - r))
+    else:
+        bound = f0 + seminorm / (a - 1.0) * (_per_element(lambda x: x ** (1.0 - a), 1.0 - r) - 1.0)
+    return bound if bound.ndim else float(bound)
 
 
 def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
@@ -239,7 +309,7 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
     fvals = np.abs(eval_on_grid(f, g))
     ftails = tail_estimate(f, g.radii)
 
-    bounds = np.array([growth_bound(p, float(r), est.value, f0) for r in g.radii])
+    bounds = growth_bound(p, g.radii, est.value, f0)
     ring_margins = bounds - fvals.max(axis=1)
     i = int(np.argmin(ring_margins))
     worst = float(ring_margins[i])

@@ -35,6 +35,9 @@ def compare(x: float, y: float) -> int:
 
 _T_HI = 1.0 - 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# abscissae of the coarse scan, shared by every call
+_T_SCAN = np.linspace(0.0, _T_HI, 4096 + 1)
+_T_SCAN.setflags(write=False)
 
 
 def _sup_on_unit_interval(fn) -> float:
@@ -43,11 +46,10 @@ def _sup_on_unit_interval(fn) -> float:
     fn maps an array of t to an array of values.  Boundary suprema are
     reported as the value at 1 - 1e-9.
     """
-    t = np.linspace(0.0, _T_HI, 4096 + 1)
-    vals = fn(t)
+    vals = fn(_T_SCAN)
     k = int(np.argmax(vals))
-    lo = t[max(k - 1, 0)]
-    hi = t[min(k + 1, t.size - 1)]
+    lo = _T_SCAN[max(k - 1, 0)]
+    hi = _T_SCAN[min(k + 1, _T_SCAN.size - 1)]
     # golden-section refinement of the bracketing interval
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
@@ -67,6 +69,8 @@ def _sup_on_unit_interval(fn) -> float:
 
 def _over_t(num, t, limit: float):
     """num / t, with the removable limit at t = 0 taken below t = 1e-8."""
+    if np.ndim(t) == 0:  # a golden-section step
+        return num / t if t >= 1e-8 else float(limit)
     return np.divide(num, t, out=np.full(np.shape(t), limit, dtype=float), where=t >= 1e-8)
 
 

@@ -1,5 +1,6 @@
 """Seminorm estimation on disk grids, growth bounds, and grid plumbing."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
-from betacesaro.bloch import GROWTH_SLACK, TAIL_EXCLUSION, _eval_on_rings, eval_on_grid, normalize
+from betacesaro import bloch
+from betacesaro.bloch import (
+    GROWTH_SLACK,
+    MAX_N_ANGULAR,
+    MAX_N_RADIAL,
+    TAIL_EXCLUSION,
+    _eval_on_rings,
+    eval_on_grid,
+    normalize,
+)
+from betacesaro.bounds import compare
 from betacesaro.series import eval_on_points, ps_derivative, tail_estimate
 
 from .conftest import random_poly
@@ -52,9 +63,61 @@ def test_default_grid_rejects_boundary():
         default_grid(4, 8, 1.0)
 
 
+@pytest.mark.parametrize("n_radial, n_angular", [(3.5, 8), (4.0, 8), (True, 8), (0, 8), (4, 8.0), (4, False)])
+def test_default_grid_counts_must_be_integers(n_radial, n_angular):
+    # 3.5 used to build 5 radii; 4.0 would share the cached grid of 4
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        default_grid(n_radial, n_angular, 0.999)
+
+
+@pytest.mark.parametrize("n_radial, n_angular", [(MAX_N_RADIAL + 1, 8), (4, MAX_N_ANGULAR + 1)])
+def test_default_grid_rejects_counts_above_the_caps_before_allocating(n_radial, n_angular):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="must be at most"):
+            default_grid(n_radial, n_angular, 0.999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024  # no grid array: radii alone would be 8 kB, a ring table far more
+
+
+def test_default_grid_at_the_caps_is_accepted():
+    g = default_grid(MAX_N_RADIAL, 2, 0.999)
+    assert g.radii.size == MAX_N_RADIAL + 1
+    assert default_grid(1, MAX_N_ANGULAR, 0.5).n_angles == MAX_N_ANGULAR
+
+
+def test_default_grid_is_shared_and_read_only():
+    g = default_grid(8, 16, 0.9)
+    assert default_grid(8, 16, 0.9) is g
+    assert default_grid(n_radial=8, n_angular=16, r_max=np.float64(0.9)) is g
+    assert default_grid() is default_grid(64, 128, 0.999)
+    assert default_grid(8, 32, 0.9) is not g
+    eval_on_grid(PowerSeries([0, 1]), g)  # builds the ring tables
+    for a in (g.radii, g.points, g.ring_powers, g.ring_steps):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def test_grid_copies_the_caller_radii():
+    radii = np.array([0.0, 0.5])
+    g = SampleGrid(radii=radii, n_angles=4)
+    radii[1] = 0.6
+    assert g.radii[1] == 0.5
+
+
 def test_grid_radii_must_increase():
     with pytest.raises(DomainError):
         SampleGrid(radii=np.array([0.5, 0.5]), n_angles=1)
+
+
+@pytest.mark.parametrize("radii", [[0.1, math.nan], [math.nan], [0.1, math.inf], [-math.inf, 0.5]])
+def test_grid_radii_must_be_finite(radii):
+    # every comparison with NaN is false, so NaN passed the order and range checks
+    with pytest.raises(DomainError, match="finite"):
+        SampleGrid(radii=np.array(radii), n_angles=4)
 
 
 @pytest.mark.parametrize("radii", [np.array([]), np.array([[0.1, 0.2]])])
@@ -101,8 +164,47 @@ def test_ring_subset_rows_equal_full_grid_rows(order, n_radial, n_angular):
     g = default_grid(n_radial, n_angular, 0.999)
     full = eval_on_grid(f, g)
     for rings in (slice(0, 1), slice(1, 3), slice(n_radial // 2, None), slice(n_radial, None)):
-        part = _eval_on_rings(f, g.radii[rings], n_angular)
+        part = _eval_on_rings(f, g, rings)
         assert part.tobytes() == full[rings].tobytes()
+
+
+def _eval_on_rings_before(f, radii, n_angles):
+    """The ring fold before grids kept their tables: every block folded,
+    zero blocks included, with r^k and r^A rebuilt per call."""
+    c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
+    r = radii[:, None]
+    step = r**n_angles
+    folded = np.zeros((radii.size, n_angles), dtype=np.complex128)
+    for block in c.reshape(-1, n_angles)[::-1]:
+        folded *= step
+        folded += block
+    folded *= r ** np.arange(n_angles)
+    out = np.fft.ifft(folded, axis=1)
+    out *= n_angles
+    return out
+
+
+def _random_coeffs(rng, n):
+    return rng.uniform(-1.0, 1.0, (n, 2)) @ np.array([1.0, 1.0j])
+
+
+@pytest.mark.parametrize("n_angles", [1, 24, 100, 128])
+@pytest.mark.parametrize("case", ["dense", "trailing zero blocks", "all zero", "order below A"])
+def test_eval_on_rings_matches_the_per_call_fold_bit_for_bit(n_angles, case):
+    rng = np.random.default_rng(n_angles)
+    if case == "dense":
+        c = _random_coeffs(rng, 3 * n_angles + 7)
+    elif case == "trailing zero blocks":
+        c = np.concatenate((_random_coeffs(rng, n_angles + 3), np.zeros(4 * n_angles + 5)))
+    elif case == "all zero":
+        c = np.zeros(2 * n_angles + 1)
+    else:
+        c = _random_coeffs(rng, max(n_angles // 2, 1))
+    f = PowerSeries(c)
+    g = default_grid(16, n_angles, 0.999)
+    for rings in (slice(None), slice(0, 1), slice(3, 9), slice(16, None)):
+        want = _eval_on_rings_before(f, g.radii[rings], n_angles)
+        assert _eval_on_rings(f, g, rings).tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------- seminorm examples
@@ -220,6 +322,75 @@ def test_seminorm_kept_rings_edge_cases(coarse_grid):
     assert est.value == 0.0
 
 
+def _seminorm_estimate_before(f, p, g):
+    """The pass screen that kept every pass's products, concatenated them
+    and scanned them again; it reads `bloch.tail_estimate` as the estimate
+    does, so a test can set the tails of both."""
+    d = ps_derivative(f)
+    weights = g.weights(p.alpha)
+    tails = bloch.tail_estimate(d, g.radii)
+    n_radii, n_angles = g.radii.size, g.n_angles
+    passes, best, n_kept = [], 0.0, 0
+    while n_kept < n_radii:
+        over = tails[n_kept:] > TAIL_EXCLUSION * (1.0 + best)
+        stop = n_kept + int(np.argmax(over)) if over.any() else n_radii
+        if stop == n_kept:
+            break
+        prods = weights[n_kept:stop, None] * np.abs(_eval_on_rings_before(d, g.radii[n_kept:stop], n_angles))
+        best = np.maximum(best, prods.max())
+        passes.append(prods)
+        n_kept = stop
+    n_excluded = (n_radii - n_kept) * n_angles
+    if n_kept == 0:
+        return 0.0, 0j, 0.0, n_excluded
+    prods = np.concatenate(passes)
+    i, j = np.unravel_index(np.argmax(prods), prods.shape)
+    value = float(prods[i, j])
+    return value, complex(g.points[i, j]) if value > 0 else 0j, float(tails[:n_kept].max()), n_excluded
+
+
+def _as_tuple(est):
+    return est.value, est.argmax, est.max_tail, est.n_excluded
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.floats(0.5, 2.5),
+    n_angles=st.sampled_from([1, 24, 100, 128]),
+)
+@settings(max_examples=40, deadline=None)
+def test_seminorm_matches_the_concatenating_screen_bit_for_bit(seed, alpha, beta, n_angles):
+    r = np.random.default_rng(seed)
+    b = np.exp(1j * np.array([0.0, r.uniform(0.5, 6.0)]))
+    s = SymbolGBeta(terms=((1.0, b[0]), (r.uniform(0.2, 2.0), b[1])), beta=beta)
+    image = apply_generalized(random_poly(r, degree=64, pad=256), s)
+    p, g = BlochParams(alpha), default_grid(16, n_angles, 0.999)
+    assert _as_tuple(seminorm_estimate(image, p, g)) == _seminorm_estimate_before(image, p, g)
+
+
+def test_seminorm_later_pass_tying_the_maximum_keeps_the_first_point(monkeypatch):
+    # f = 3z has f' = 3 on every ring, and the weight rounds to 1 at
+    # r = 1e-9, so rings 0 and 1 tie at 3; the tail set on ring 1 fails the
+    # screen at best 0 but not at best 3, so ring 1 opens a second pass
+    g = SampleGrid(radii=np.array([0.0, 1e-9, 0.5]), n_angles=8)
+    monkeypatch.setattr(bloch, "tail_estimate", lambda f, r: np.array([0.0, 1.5e-6, 0.0]))
+    passes = []
+
+    def recording(f, grid, rings, _eval=bloch._eval_on_rings):
+        passes.append((rings.start, rings.stop))
+        return _eval(f, grid, rings)
+
+    monkeypatch.setattr(bloch, "_eval_on_rings", recording)
+    f, p = PowerSeries([0, 3]).truncate(32), BlochParams(1.0)
+    est = seminorm_estimate(f, p, g)
+    assert passes == [(0, 1), (1, 3)]
+    assert g.weights(1.0)[1] == 1.0
+    assert est.value == 3.0
+    assert est.argmax == g.points[0, 0]
+    assert _as_tuple(est) == _seminorm_estimate_before(f, p, g)
+
+
 def test_seminorm_excludes_untrusted_radii(grid):
     est = seminorm_estimate(truncated_log_witness(512), BlochParams(1.0), grid)
     assert est.n_excluded > 0
@@ -267,6 +438,45 @@ def test_growth_bound_rejects_bad_radius():
         growth_bound(BlochParams(1.0), 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("r", [-0.1, math.nan, np.array([0.0, 0.5, 1.0]), np.array([0.5, math.nan])])
+def test_growth_bound_rejects_bad_radii(r):
+    with pytest.raises(DomainError):
+        growth_bound(BlochParams(1.0), r, 1.0, 0.0)
+
+
+def _growth_bound_before(p, r, seminorm, f0):
+    """growth_bound as it was: one radius, in Python floats."""
+    if not 0 <= r < 1:
+        raise DomainError("growth_bound requires 0 <= r < 1")
+    a = p.alpha
+    if compare(a, 1.0) < 0:
+        return f0 + seminorm / (1.0 - a)
+    if compare(a, 1.0) == 0:
+        return f0 + 0.5 * seminorm * math.log((1.0 + r) / (1.0 - r))
+    return f0 + seminorm / (a - 1.0) * ((1.0 - r) ** (1.0 - a) - 1.0)
+
+
+@given(
+    alpha=st.one_of(
+        st.sampled_from([0.5, 1.0, 1.0 - 1e-13, 1.0 + 1e-13, 2.0, 3.0]),
+        st.floats(0.05, 4.0),
+    ),
+    seminorm=st.floats(0.0, 100.0),
+    f0=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_growth_bound_on_radii_matches_the_per_radius_loop(alpha, seminorm, f0, seed, grid):
+    p = BlochParams(alpha)
+    extra = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, 40))
+    for radii in (grid.radii, extra[extra < 1.0]):
+        want = np.array([_growth_bound_before(p, float(r), seminorm, f0) for r in radii])
+        got = growth_bound(p, radii, seminorm, f0)
+        assert got.shape == radii.shape
+        assert got.tobytes() == want.tobytes()
+        assert growth_bound(p, float(radii[-1]), seminorm, f0) == want[-1]
+
+
 def test_growth_check_identity(grid):
     v = growth_check(PowerSeries([0, 1]).truncate(32), BlochParams(1.0), grid)
     assert v.passed
@@ -292,7 +502,7 @@ def _growth_check_loop_reference(f, p, g):
     ftails = tail_estimate(f, g.radii)
     passed, worst, argworst = True, math.inf, 0j
     for i, r in enumerate(g.radii):
-        margins = growth_bound(p, float(r), est.value, f0) - fvals[i]
+        margins = _growth_bound_before(p, float(r), est.value, f0) - fvals[i]
         j = int(np.argmin(margins))
         if margins[j] < worst:
             worst = float(margins[j])

@@ -166,6 +166,54 @@ def regime_points(draw):
     return alpha, beta
 
 
+def _over_t_before(num, t, limit):
+    return np.divide(num, t, out=np.full(np.shape(t), limit, dtype=float), where=t >= 1e-8)
+
+
+_PROFILES_BEFORE = {
+    -1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (a - b) / (1.0 - a),
+    0: lambda a, b, t: (1.0 - t) ** (1.0 - b) * _over_t_before(np.log((1.0 + t) / (1.0 - t)), t, 2.0),
+    1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (1.0 - b) / (a - 1.0)
+    * _over_t_before(1.0 - (1.0 - t) ** math.ceil(a), t, math.ceil(a)),
+}
+
+
+def _bound_constant_before(alpha, beta):
+    """bound_constant as it was: the scan abscissae built per call, and every
+    golden-section step divided through np.full / np.divide."""
+    profile = _PROFILES_BEFORE[compare(alpha, 1.0)]
+
+    def fn(t):
+        return profile(alpha, beta, t)
+
+    t = np.linspace(0.0, 1.0 - 1e-9, 4096 + 1)
+    vals = fn(t)
+    k = int(np.argmax(vals))
+    a, b = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-10:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = fn(d)
+    return float(max(vals[k], fc, fd))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.5, 0.0), (0.5, 0.5), (0.3, 0.1 + 0.2), (1.0, 0.5), (1.0, -1.0), (2.0, 1.0), (2.5, 0.3), (4.0, -2.0)],
+)
+def test_bound_constant_matches_the_per_call_scan(alpha, beta):
+    # (1.0, 0.5) peaks at t = 0, so its golden-section steps reach t < 1e-8
+    assert bound_constant(alpha, beta) == _bound_constant_before(alpha, beta)
+
+
 @given(point=regime_points())
 @settings(max_examples=200, deadline=None)
 def test_bound_constant_exists_iff_bounded(point):
@@ -173,6 +221,7 @@ def test_bound_constant_exists_iff_bounded(point):
     if classify(alpha, beta).bounded:
         value = bound_constant(alpha, beta)
         assert math.isfinite(value) and value > 0
+        assert value == _bound_constant_before(alpha, beta)
     else:
         with pytest.raises(DomainError):
             bound_constant(alpha, beta)

@@ -18,6 +18,7 @@ from betacesaro import (
     essential_norm_probe,
     null_family,
 )
+from betacesaro.bloch import MAX_N_ANGULAR, MAX_N_RADIAL
 from betacesaro.cli import _emit, main
 
 
@@ -232,6 +233,9 @@ INPUT_FILES = {
         (["apply", "--beta", "0", "--f-file", "non-utf8.json"], "error:"),
         (["apply", "--beta", "0", "--f-file", "no-coeffs.json"], "error:"),
         (["eigenfunction", "--symbol", "g0.json", "--n", "1", "--N", "4"], "error:"),
+        (["seminorm", "--alpha", "1", "--f", "[0, 1]", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
+        (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
+        (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
