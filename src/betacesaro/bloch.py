@@ -23,10 +23,10 @@ DEFAULT_N_ANGULAR = 128
 DEFAULT_R_MAX = 0.999
 
 # Caps on the grid counts `default_grid` (and so the CLI) accepts.  A grid
-# keeps its points (16 B) and its ring table r^k (8 B) for each of its
-# (n_radial + 1) x n_angular points, at most 25.2 MB at the caps, and an
-# evaluation adds about 32 B per point of temporaries; `default_grid` keeps
-# at most GRID_CACHE_SIZE grids alive, so at most 101 MB.
+# keeps its ring table r^k (8 B) for each of its (n_radial + 1) x n_angular
+# points, at most 8.4 MB at the caps, and an evaluation adds about 32 B per
+# point of temporaries; `default_grid` keeps at most GRID_CACHE_SIZE grids
+# alive, so at most 34 MB of tables.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 1024
 GRID_CACHE_SIZE = 4
@@ -64,14 +64,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Polar sampling grid: strictly increasing radii x the n_angles uniform
     angles 2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes.
 
     The grid is immutable: its radii and the tables it builds on first use
-    (the points and the ring powers of `eval_on_grid`) are read-only, so one
-    grid can serve every caller.
+    (the ring powers of `eval_on_grid`) are read-only, so one grid can serve
+    every caller.  Grids compare and hash by identity.
     """
 
     radii: np.ndarray
@@ -90,11 +90,9 @@ class SampleGrid:
         _count("n_angles", self.n_angles)
         object.__setattr__(self, "radii", _read_only(r))
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Complex sample points, shape (n_radii, n_angles)."""
-        angles = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
-        return _read_only(self.radii[:, None] * np.exp(1j * angles[None, :]))
+    def point(self, i: int, j: int) -> complex:
+        """The sample point on ring i at angle 2*pi*j/A."""
+        return complex(self.radii[i] * np.exp(1j * (2.0 * math.pi * j / self.n_angles)))
 
     @cached_property
     def ring_powers(self) -> np.ndarray:
@@ -247,7 +245,7 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     value = float(value)
     return SeminormEstimate(
         value=value,
-        argmax=complex(g.points[i, j]) if value > 0 else 0j,
+        argmax=g.point(i, j) if value > 0 else 0j,
         max_tail=float(tails[:n_kept].max()),
         n_excluded=n_excluded,
     )
@@ -313,6 +311,6 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
     ring_margins = bounds - fvals.max(axis=1)
     i = int(np.argmin(ring_margins))
     worst = float(ring_margins[i])
-    argworst = complex(g.points[i, np.argmin(bounds[i] - fvals[i])])
+    argworst = g.point(i, int(np.argmin(bounds[i] - fvals[i])))
     passed = not np.any(ring_margins < -(GROWTH_SLACK + ftails + est.max_tail))
     return ProbeVerdict(passed=passed, worst_margin=worst, argworst=argworst)

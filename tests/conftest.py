@@ -1,15 +1,11 @@
-"""Shared fixtures: sampling grids and a reproducible random-series factory."""
+"""Shared fixtures: sampling grids, the table of a grid's points, and a
+reproducible random-series factory."""
+import math
+
 import numpy as np
 import pytest
 
 from betacesaro import PowerSeries, default_grid
-
-
-@pytest.fixture(autouse=True)
-def _no_default_order_env(monkeypatch):
-    """Run every test at the default truncation order, whatever the shell
-    exports; a test that needs BCL_DEFAULT_N sets it itself."""
-    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +32,10 @@ def random_poly(rng, degree=64, pad=256, zero_at_origin=True):
     if zero_at_origin:
         c[0] = 0.0
     return PowerSeries(c).truncate(max(pad, degree))
+
+
+def grid_points(g):
+    """The complex points of grid g as one (n_radii, n_angles) table, the
+    reference for `SampleGrid.point`."""
+    angles = 2.0 * math.pi * np.arange(g.n_angles) / g.n_angles
+    return g.radii[:, None] * np.exp(1j * angles[None, :])

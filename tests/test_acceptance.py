@@ -33,7 +33,7 @@ from betacesaro import (
 )
 from betacesaro.series import eval_on_points
 
-from .conftest import random_poly
+from .conftest import grid_points, random_poly
 
 
 def report(ok, name, detail):
@@ -164,7 +164,7 @@ def test_criterion_07_approximate_eigenvalue(grid):
     bound_ok = True
     for _ in range(10):
         s = random_symbol(rng, beta=0.0)
-        g = eval_on_points(symbol_series(s, 256), grid.points)
+        g = eval_on_points(symbol_series(s, 256), grid_points(grid))
         sup_g = float(np.max(np.abs(g)))
         for n in (1, 4, 16):
             v = approximate_eigen_probe(s, n, p, grid)

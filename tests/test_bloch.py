@@ -33,7 +33,7 @@ from betacesaro.bloch import (
 from betacesaro.bounds import compare
 from betacesaro.series import eval_on_points, ps_derivative, tail_estimate
 
-from .conftest import random_poly
+from .conftest import grid_points, random_poly
 
 # ------------------------------------------------------------ construction
 
@@ -95,10 +95,46 @@ def test_default_grid_is_shared_and_read_only():
     assert default_grid() is default_grid(64, 128, 0.999)
     assert default_grid(8, 32, 0.9) is not g
     eval_on_grid(PowerSeries([0, 1]), g)  # builds the ring tables
-    for a in (g.radii, g.points, g.ring_powers, g.ring_steps):
+    for a in (g.radii, g.ring_powers, g.ring_steps):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.5
+
+
+def test_grids_compare_and_hash_by_identity():
+    g, other = default_grid(8, 16, 0.9), default_grid(8, 16, 0.99)
+    assert g != other
+    assert g not in [other]
+    assert g == default_grid(8, 16, 0.9)
+    assert hash(g) == hash(default_grid(8, 16, 0.9))
+    assert len({g, other, default_grid(8, 16, 0.9)}) == 2
+    assert SampleGrid(radii=g.radii, n_angles=16) != g
+
+
+@pytest.mark.parametrize(
+    "radii, n_angles",
+    [
+        ((64, 0.999), 128),
+        ((32, 0.999), 64),
+        ((16, 0.999), 1),
+        ((16, 0.999), 24),
+        ((16, 0.999), 100),
+        ((4, 0.999), 16),
+        ((8, 0.999), 24),
+        ([0.0, 1e-9, 0.5], 8),
+        ([0.9, 0.95], 8),
+    ],
+)
+def test_grid_point_is_the_point_table_bit_for_bit(radii, n_angles):
+    # the argmax of seminorm_estimate and the argworst of growth_check are
+    # single points built on demand, so they equal the table's entries
+    if isinstance(radii, tuple):
+        g = default_grid(radii[0], n_angles, radii[1])
+    else:
+        g = SampleGrid(radii=np.array(radii), n_angles=n_angles)
+    table = grid_points(g)
+    points = [[g.point(i, j) for j in range(g.n_angles)] for i in range(g.radii.size)]
+    assert np.array(points, dtype=np.complex128).tobytes() == table.tobytes()
 
 
 def test_grid_copies_the_caller_radii():
@@ -151,7 +187,7 @@ def test_eval_on_grid_matches_horner(order, n_radial, n_angular):
     g = default_grid(n_radial, n_angular, 0.999)
     assert g.radii[0] == 0.0  # the r = 0 ring is covered
     got = eval_on_grid(f, g)
-    want = eval_on_points(f, g.points)
+    want = eval_on_points(f, grid_points(g))
     assert got.shape == want.shape == (n_radial + 1, n_angular)
     scale = np.abs(f.coeffs) @ (g.radii[None, :] ** np.arange(order + 1)[:, None])
     assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None])
@@ -239,7 +275,7 @@ def test_seminorm_log_witness(grid):
 def _seminorm_reference(f, p, g):
     """Horner evaluation and the radius-by-radius screening loop."""
     d = ps_derivative(f)
-    prods = g.weights(p.alpha)[:, None] * np.abs(eval_on_points(d, g.points))
+    prods = g.weights(p.alpha)[:, None] * np.abs(eval_on_points(d, grid_points(g)))
     tails = tail_estimate(d, g.radii)
     best, max_tail, n_excluded = 0.0, 0.0, 0
     for i in range(g.radii.size):
@@ -284,7 +320,7 @@ def _prefix_screen_reference(f, p, g):
         return 0.0, 0j, 0.0, n_excluded
     i, j = np.unravel_index(np.argmax(prods[:n_kept]), (n_kept, g.n_angles))
     best = float(prods[i, j])
-    argmax = complex(g.points[i, j]) if best > 0 else 0j
+    argmax = complex(grid_points(g)[i, j]) if best > 0 else 0j
     return best, argmax, float(tails[:n_kept].max()), n_excluded
 
 
@@ -346,7 +382,7 @@ def _seminorm_estimate_before(f, p, g):
     prods = np.concatenate(passes)
     i, j = np.unravel_index(np.argmax(prods), prods.shape)
     value = float(prods[i, j])
-    return value, complex(g.points[i, j]) if value > 0 else 0j, float(tails[:n_kept].max()), n_excluded
+    return value, complex(grid_points(g)[i, j]) if value > 0 else 0j, float(tails[:n_kept].max()), n_excluded
 
 
 def _as_tuple(est):
@@ -387,7 +423,7 @@ def test_seminorm_later_pass_tying_the_maximum_keeps_the_first_point(monkeypatch
     assert passes == [(0, 1), (1, 3)]
     assert g.weights(1.0)[1] == 1.0
     assert est.value == 3.0
-    assert est.argmax == g.points[0, 0]
+    assert est.argmax == grid_points(g)[0, 0]
     assert _as_tuple(est) == _seminorm_estimate_before(f, p, g)
 
 
@@ -500,13 +536,14 @@ def _growth_check_loop_reference(f, p, g):
     f0 = abs(complex(f.coeffs[0]))
     fvals = np.abs(eval_on_grid(f, g))
     ftails = tail_estimate(f, g.radii)
+    points = grid_points(g)
     passed, worst, argworst = True, math.inf, 0j
     for i, r in enumerate(g.radii):
         margins = _growth_bound_before(p, float(r), est.value, f0) - fvals[i]
         j = int(np.argmin(margins))
         if margins[j] < worst:
             worst = float(margins[j])
-            argworst = complex(g.points[i, j])
+            argworst = complex(points[i, j])
         if margins[j] < -(GROWTH_SLACK + ftails[i] + est.max_tail):
             passed = False
     return passed, worst, argworst

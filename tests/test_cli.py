@@ -19,7 +19,7 @@ from betacesaro import (
     null_family,
 )
 from betacesaro.bloch import MAX_N_ANGULAR, MAX_N_RADIAL
-from betacesaro.cli import _emit, main
+from betacesaro.cli import MAX_ORDER, _emit, main
 
 
 def run(capsys, *argv):
@@ -249,28 +249,27 @@ def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-def test_bad_default_order_env_is_one_line_error(capsys, monkeypatch, value):
-    # BCL_DEFAULT_N follows the rule of --N: an integer >= 1
-    monkeypatch.setenv("BCL_DEFAULT_N", value)
-    code, out, err = run(capsys, "spectrum", "--beta", "1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--beta", "1", "--N", str(MAX_ORDER + 1)],
+        ["compactness", "--alpha", "2", "--beta", "1", "--N", str(MAX_ORDER + 1)],
+    ],
+)
+def test_order_above_the_cap_is_rejected_before_allocating(capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a command ran past the order cap")
+
+    for name in ("operator_matrix", "null_family", "default_grid"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: BCL_DEFAULT_N")
-    assert len(err.strip().splitlines()) == 1
+    assert err == f"usage error: argument --N: N must be an integer in [1, {MAX_ORDER}], got '{MAX_ORDER + 1}'\n"
 
 
-def test_seminorm_does_not_read_default_order_env(capsys, monkeypatch):
-    # the input is padded by the tail window only, so the report is the same
-    # whatever BCL_DEFAULT_N holds, and an invalid value is never read
-    argv = ["seminorm", "--alpha", "1", "--f", "[0,0.5,[0,-1],0.25]"]
-    code, unset, err = run(capsys, *argv)
-    assert code == 0, err
-    for value in ["1", "5000", "abc"]:
-        monkeypatch.setenv("BCL_DEFAULT_N", value)
-        code, out, err = run(capsys, *argv)
-        assert code == 0, err
-        assert out.encode() == unset.encode()
+def test_order_cap_is_inclusive():
+    assert cli._truncation_order(str(MAX_ORDER)) == MAX_ORDER
 
 
 def _symbol_file(tmp_path, terms, h0):
@@ -382,16 +381,25 @@ def test_report_embeds_config(capsys):
     assert report["config"] == {"alpha": 2.0, "beta": 1.0, "command": "bound"}
 
 
-def test_default_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BCL_DEFAULT_N", "8")
-    report = run_json(capsys, "spectrum", "--beta", "1")
-    assert len(report["result"]["eigenvalues"]) == 8
-
-
-def test_order_flag_wins_and_env_is_not_read(capsys, monkeypatch):
-    monkeypatch.setenv("BCL_DEFAULT_N", "garbage")
-    report = run_json(capsys, "spectrum", "--beta", "1", "--N", "3")
-    assert len(report["result"]["eigenvalues"]) == 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--beta", "1"],
+        ["spectrum", "--beta", "1", "--N", "3"],
+        ["compactness", "--alpha", "2", "--beta", "1"],
+        ["essnorm", "--alpha", "2", "--beta", "1"],
+        ["seminorm", "--alpha", "1", "--f", "[0,0.5,[0,-1],0.25]"],
+    ],
+)
+def test_default_order_env_is_ignored(capsys, monkeypatch, argv):
+    # --N is the only input of the truncation order: BCL_DEFAULT_N, set to an
+    # order or to garbage, changes no report and no exit status
+    monkeypatch.delenv("BCL_DEFAULT_N", raising=False)
+    code, unset, err = run(capsys, *argv)
+    assert code in (0, 2), err
+    for value in ["8", "abc"]:
+        monkeypatch.setenv("BCL_DEFAULT_N", value)
+        assert run(capsys, *argv) == (code, unset, err)
 
 
 def _library_probe(command):
@@ -407,12 +415,11 @@ def _library_probe(command):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compactness", "--alpha", "2", "--beta", "1", "--m-max", "3"],
-        ["essnorm", "--alpha", "2", "--beta", "1"],
+        ["compactness", "--alpha", "2", "--beta", "1", "--m-max", "3", "--N", "8"],
+        ["essnorm", "--alpha", "2", "--beta", "1", "--N", "8"],
     ],
 )
-def test_probe_commands_read_default_order_env(capsys, monkeypatch, argv):
-    monkeypatch.setenv("BCL_DEFAULT_N", "8")
+def test_probe_commands_take_order_flag(capsys, argv):
     _, out, err = run(capsys, *argv)
     result = json.loads(out)["result"]
     expected = json.loads(json.dumps(_library_probe(argv[0])))
@@ -420,20 +427,10 @@ def test_probe_commands_read_default_order_env(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("command", ["compactness", "essnorm"])
-def test_probe_commands_reject_bad_default_order_env(capsys, monkeypatch, command):
-    monkeypatch.setenv("BCL_DEFAULT_N", "abc")
-    code, out, err = run(capsys, command, "--alpha", "2", "--beta", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: BCL_DEFAULT_N")
-
-
-@pytest.mark.parametrize("command", ["compactness", "essnorm"])
-def test_probe_commands_reject_too_low_default_order_env(capsys, monkeypatch, command):
+def test_probe_commands_reject_too_low_order(capsys, command):
     # at order 4 the family member z^2 has a zero seminorm estimate on the
     # default grid, so it cannot be normalized: a one-line error, not a traceback
-    monkeypatch.setenv("BCL_DEFAULT_N", "4")
-    code, out, err = run(capsys, command, "--alpha", "2", "--beta", "1")
+    code, out, err = run(capsys, command, "--alpha", "2", "--beta", "1", "--N", "4")
     assert code == 1
     assert out == ""
     assert err.startswith("error: member has zero estimated seminorm")
@@ -478,11 +475,9 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert err.startswith("usage error:")
     assert main(["spectrum", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: betacesaro spectrum")
-    # the order comes from the environment at run time, not from a parse
-    # that happened before
-    monkeypatch.setenv("BCL_DEFAULT_N", "8")
-    assert len(run_json(capsys, "spectrum", "--beta", "1")["result"]["eigenvalues"]) == 8
-    monkeypatch.delenv("BCL_DEFAULT_N")
+    # each run takes its own order, not one from a parse that happened before
+    assert len(run_json(capsys, "spectrum", "--beta", "1", "--N", "8")["result"]["eigenvalues"]) == 8
+    assert len(run_json(capsys, "spectrum", "--beta", "1")["result"]["eigenvalues"]) == 256
     code, again, _ = run(capsys, *first)
     assert code == 0
     assert again.encode() == report.encode()

@@ -30,7 +30,7 @@ from betacesaro.bloch import eval_on_grid
 from betacesaro.operators import symbol_spectrum
 from betacesaro.series import eval_on_points
 
-from .conftest import random_poly
+from .conftest import grid_points, random_poly
 
 
 def random_symbol(rng, n_terms=2, with_h=True, beta=None):
@@ -423,7 +423,7 @@ def test_psi_h_factor_two_sided_bound(grid):
     centered = PowerSeries(np.concatenate([[0], h.coeffs[1:]])).truncate(256)
     eta = ps_exp(ps_integrate(ps_div_by_z(centered)).truncate(256).scale(n / g0))
     h_sup = float(np.max(np.abs(eval_on_grid(h, grid))))
-    vals = np.abs(eval_on_points(eta, grid.points))
+    vals = np.abs(eval_on_points(eta, grid_points(grid)))
     bound = math.exp(2 * abs(n / g0) * h_sup)
     assert float(np.max(vals)) <= bound + 1e-9
     assert float(np.min(vals)) >= 1.0 / bound - 1e-9
