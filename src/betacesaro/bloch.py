@@ -215,7 +215,19 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     the pass is at least that large, so every ring of the pass is kept.  The
     screening stops at the first ring that fails the bound right at the
     start of a pass.
+
+    The estimate is kept on f, and a call with equal params and the same
+    grid object returns it without evaluating again; f keeps only its last
+    estimate.
     """
+    if f._seminorm is not None and f._seminorm[0] == p and f._seminorm[1] is g:
+        return f._seminorm[2]
+    est = _estimate(f, p, g)
+    object.__setattr__(f, "_seminorm", (p, g, est))
+    return est
+
+
+def _estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> SeminormEstimate:
     d = ps_derivative(f)
     weights = g.weights(p.alpha)
     tails = tail_estimate(d, g.radii)
@@ -300,7 +312,9 @@ def growth_check(f: PowerSeries, p: BlochParams, g: SampleGrid) -> ProbeVerdict:
     the verdict, never raised.  The worst point is the first grid point, in
     (radius, angle) order, of least margin bound - |f|.  A ring's least
     margin is its bound minus its largest |f|, exactly, because b - x
-    rounds monotonically in x.
+    rounds monotonically in x.  The seminorm in the bound is
+    `seminorm_estimate(f, p, g)`, which returns the estimate f keeps when
+    the caller has already taken it on this grid.
     """
     est = seminorm_estimate(f, p, g)
     f0 = abs(complex(f.coeffs[0]))

@@ -87,21 +87,32 @@ def _float_list(text: str) -> str:
     return text
 
 
-# The largest --N.  `matrix` costs the most at a given order, about 570 B
-# per entry of its N x N report: 603 MB peak RSS and 10 s at this cap on a
-# 2-core Xeon, and about 9.6 GB at N = 4096.
+# The largest --N and --m-max.  `matrix` costs the most at a given order,
+# about 570 B per entry of its N x N report: 603 MB peak RSS and 10 s at
+# this cap on a 2-core Xeon, and about 9.6 GB at N = 4096.  `compactness`
+# stores member m of its family at order max(N, 2m), about 16 m_max^2 bytes
+# in all: in-process, `--m-max 1024` takes 1.7 s and peaks at 69 MB RSS.
 MAX_ORDER = 1024
 
 
-def _truncation_order(text: str) -> int:
-    """The argparse type of --N: an integer in [1, MAX_ORDER]."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"N must be an integer in [1, {MAX_ORDER}], got {text!r}")
-    return value
+def _up_to_max_order(name: str) -> Callable[[str], int]:
+    """The argparse type of an option taking an integer in [1, MAX_ORDER]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if not 1 <= value <= MAX_ORDER:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer in [1, {MAX_ORDER}], got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_truncation_order = _up_to_max_order("N")
 
 
 def _order(args) -> int:
@@ -331,7 +342,7 @@ COMMANDS = {
         (
             _ALPHA,
             _arg("--kind", choices=["monomial", "dilation"], default="monomial"),
-            _arg("--m-max", dest="m_max", type=int, default=32),
+            _arg("--m-max", dest="m_max", type=_up_to_max_order("m_max"), default=32),
             *_OUTPUT,
             *_GRID,
             *_SYMBOL,

@@ -9,7 +9,7 @@ basis, so truncation commutes with them).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,15 @@ _TAIL_WINDOW = 16
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated Taylor coefficients c_0..c_N of an analytic function."""
+    """Truncated Taylor coefficients c_0..c_N of an analytic function.
+
+    `_seminorm` holds the last `seminorm_estimate` of the series as
+    (params, grid, estimate); one slot, so a series keeps at most one grid
+    alive.
+    """
 
     coeffs: np.ndarray
+    _seminorm: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1).copy()
@@ -108,12 +114,27 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
     """First order+1 Taylor coefficients of (1 - b*w)**(-beta).
 
     Coefficient n is (beta)_n / n! * b**n, generated by the recurrence
-    coef_{n+1} = coef_n * b * (beta + n) / (n + 1).
+    coef_{n+1} = coef_n * b * (beta + n) / (n + 1).  For a real b the
+    recurrence is one pass of np.multiply.accumulate over the interleaved
+    factors b, beta + n, 1/(n + 1): numpy's complex division by n + 1
+    multiplies by the rounded reciprocal, so every step rounds exactly as
+    the complex loop does and the real parts are the same bits.  The
+    imaginary parts are +0 (the loop's zeros may carry either sign).
     """
     if abs(b) > 1 + 1e-12:
         raise DomainError("binomial_series requires |b| <= 1")
     if order < 0:
         raise DomainError("binomial_series requires order >= 0")
+    if b.imag == 0:
+        n = np.arange(order)
+        steps = np.empty(3 * order + 1)
+        steps[0] = 1.0
+        steps[1::3] = b.real
+        steps[2::3] = beta + n
+        steps[3::3] = 1.0 / (n + 1)
+        # the loop's division adds a zero product to each real part, which
+        # turns a -0 into +0
+        return PowerSeries(np.multiply.accumulate(steps)[::3] + 0.0)
     c = np.empty(order + 1, dtype=np.complex128)
     c[0] = 1.0
     for n in range(order):

@@ -1,6 +1,8 @@
 """Seminorm estimation on disk grids, growth bounds, and grid plumbing."""
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -449,6 +451,75 @@ def test_normalize_rejects_zero_estimate(coarse_grid):
     # coefficient 2, so only the ring r = 0 is kept and the estimate is 0
     with pytest.raises(DomainError, match="zero estimated seminorm"):
         normalize(PowerSeries.monomial(2, order=4), p, coarse_grid)
+
+
+# ------------------------------------------------ the series' kept estimate
+
+
+def _counting_estimates(monkeypatch):
+    """Count the grid passes of seminorm_estimate from here on."""
+    calls = []
+
+    def counting(f, p, g, _estimate=bloch._estimate):
+        calls.append(f)
+        return _estimate(f, p, g)
+
+    monkeypatch.setattr(bloch, "_estimate", counting)
+    return calls
+
+
+def test_repeated_estimate_is_the_kept_object(monkeypatch, coarse_grid):
+    f = random_poly(np.random.default_rng(3), degree=16, pad=64)
+    calls = _counting_estimates(monkeypatch)
+    est = seminorm_estimate(f, BlochParams(1.5), coarse_grid)
+    # equal params hit, whichever object holds them
+    assert seminorm_estimate(f, BlochParams(1.5), coarse_grid) is est
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_growth_check_reuses_the_estimate_with_the_same_verdict(monkeypatch, alpha, coarse_grid):
+    f = random_poly(np.random.default_rng(4), degree=64, pad=256)
+    fresh = PowerSeries(f.coeffs)
+    p = BlochParams(alpha)
+    calls = _counting_estimates(monkeypatch)
+    seminorm_estimate(f, p, coarse_grid)
+    v = growth_check(f, p, coarse_grid)
+    assert calls == [f]
+    v_fresh = growth_check(fresh, p, coarse_grid)
+    assert calls == [f, fresh]
+    for name in ("passed", "worst_margin", "argworst"):
+        assert repr(getattr(v, name)) == repr(getattr(v_fresh, name))
+
+
+def test_estimate_with_another_alpha_misses(coarse_grid):
+    f = random_poly(np.random.default_rng(5), degree=16, pad=64)
+    est = seminorm_estimate(f, BlochParams(1.0), coarse_grid)
+    other = seminorm_estimate(f, BlochParams(2.0), coarse_grid)
+    assert other is not est
+    assert other == seminorm_estimate(PowerSeries(f.coeffs), BlochParams(2.0), coarse_grid)
+
+
+def test_estimate_on_an_equal_but_distinct_grid_misses(monkeypatch, coarse_grid):
+    f = random_poly(np.random.default_rng(6), degree=16, pad=64)
+    twin = SampleGrid(coarse_grid.radii, coarse_grid.n_angles)
+    calls = _counting_estimates(monkeypatch)
+    est = seminorm_estimate(f, BlochParams(1.0), coarse_grid)
+    assert seminorm_estimate(f, BlochParams(1.0), twin) is not est
+    assert len(calls) == 2
+
+
+def test_series_keeps_only_its_last_grid(coarse_grid):
+    f = random_poly(np.random.default_rng(7), degree=16, pad=64)
+    grid_a = SampleGrid(coarse_grid.radii, coarse_grid.n_angles)
+    seminorm_estimate(f, BlochParams(1.0), grid_a)
+    kept = weakref.ref(grid_a)
+    del grid_a
+    gc.collect()
+    assert kept() is not None  # f's kept estimate holds grid A
+    seminorm_estimate(f, BlochParams(1.0), coarse_grid)
+    gc.collect()
+    assert kept() is None
 
 
 # ------------------------------------------------------------ growth bound

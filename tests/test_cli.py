@@ -272,6 +272,25 @@ def test_order_cap_is_inclusive():
     assert cli._truncation_order(str(MAX_ORDER)) == MAX_ORDER
 
 
+@pytest.mark.parametrize("m_max", ["0", "-1", "2.5", "abc", str(MAX_ORDER + 1)])
+def test_family_size_outside_the_cap_is_rejected_before_allocating(capsys, monkeypatch, m_max):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("compactness ran past the family-size cap")
+
+    for name in ("null_family", "default_grid"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, "compactness", "--alpha", "2", "--beta", "1", "--m-max", m_max)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: argument --m-max: m_max must be an integer in [1, {MAX_ORDER}], got '{m_max}'\n"
+
+
+def test_family_size_cap_is_inclusive():
+    argv = ["compactness", "--alpha", "2", "--beta", "1", "--m-max", str(MAX_ORDER)]
+    args = cli.build_parser().parse_args(argv)
+    assert args.m_max == MAX_ORDER
+
+
 def _symbol_file(tmp_path, terms, h0):
     path = tmp_path / "symbol.json"
     terms = [{"a": [a, 0], "b_angle": angle} for a, angle in terms]

@@ -74,6 +74,39 @@ def test_binomial_recurrence_exact(beta, angle):
         assert c[n + 1] == c[n] * b * (beta + n) / (n + 1)
 
 
+def _binomial_loop(beta, b, order):
+    """The complex recurrence of binomial_series, the reference for its
+    one-pass real-b path."""
+    c = np.empty(order + 1, dtype=np.complex128)
+    c[0] = 1.0
+    for n in range(order):
+        c[n + 1] = c[n] * b * (beta + n) / (n + 1)
+    return c
+
+
+REAL_BS = (1.0, -1.0, 0.5, -0.3, 0.0)
+
+
+def _assert_real_b_matches_loop(beta, b):
+    for order in (0, 1, 2, 255, 4096):
+        ref = _binomial_loop(beta, complex(b), order)
+        c = binomial_series(beta, b, order).coeffs
+        assert c.real.tobytes() == ref.real.tobytes(), (beta, b, order)
+        assert np.array_equal(c, ref), (beta, b, order)
+
+
+@pytest.mark.parametrize("b", REAL_BS)
+@pytest.mark.parametrize("beta", (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5))
+def test_real_b_binomial_matches_the_loop(beta, b):
+    _assert_real_b_matches_loop(beta, b)
+
+
+@given(beta=st.floats(-3, 3), b=st.sampled_from(REAL_BS))
+@settings(max_examples=40, deadline=None)
+def test_real_b_binomial_matches_the_loop_for_any_beta(beta, b):
+    _assert_real_b_matches_loop(beta, b)
+
+
 def test_binomial_rejects_large_b():
     with pytest.raises(DomainError):
         binomial_series(1.0, 1.5, 4)
