@@ -150,13 +150,22 @@ def operator_matrix(s: SymbolGBeta, n: int) -> OperatorMatrix:
     """The n x n lower-triangular Toeplitz matrix of gamma_0..gamma_{n-1},
     row m scaled by 1/m.  Row m is a window of the reversed, zero-padded
     gamma, so no index array is built; the result itself takes O(n**2)
-    memory, 16 n**2 bytes (268 MB at n = 4096)."""
+    memory, 16 n**2 bytes (268 MB at n = 4096).
+
+    The real and imaginary parts of the window are multiplied by the
+    rounded 1/m, which is what numpy's complex division by m + 0j computes;
+    the two differ only on a -0 real part, and gamma holds none (it is
+    summed onto +0), so the entries have the bits of the division.
+    """
     if n < 1:
         raise DomainError("operator_matrix requires N >= 1")
     gamma = symbol_series(s, n - 1).coeffs
     padded = np.concatenate((gamma[::-1], np.zeros(n - 1)))
     toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
-    return OperatorMatrix(entries=toeplitz / np.arange(1, n + 1)[:, None])
+    entries = np.empty((n, n), dtype=np.complex128)
+    np.multiply(toeplitz.view(np.float64), 1.0 / np.arange(1, n + 1)[:, None],
+                out=entries.view(np.float64))
+    return OperatorMatrix(entries=entries)
 
 
 def truncated_spectrum(m: OperatorMatrix) -> list[complex]:
@@ -176,7 +185,7 @@ def symbol_spectrum(s: SymbolGBeta, n: int) -> list[complex]:
 
 def _by_modulus(diag: np.ndarray) -> list[complex]:
     order = np.argsort(-np.abs(diag), kind="stable")
-    return [complex(diag[i]) for i in order]
+    return diag[order].tolist()
 
 
 def _vanishes(g0: complex) -> bool:

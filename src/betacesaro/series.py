@@ -114,32 +114,27 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
     """First order+1 Taylor coefficients of (1 - b*w)**(-beta).
 
     Coefficient n is (beta)_n / n! * b**n, generated by the recurrence
-    coef_{n+1} = coef_n * b * (beta + n) / (n + 1).  For a real b the
-    recurrence is one pass of np.multiply.accumulate over the interleaved
-    factors b, beta + n, 1/(n + 1): numpy's complex division by n + 1
-    multiplies by the rounded reciprocal, so every step rounds exactly as
-    the complex loop does and the real parts are the same bits.  The
-    imaginary parts are +0 (the loop's zeros may carry either sign).
+    coef_{n+1} = coef_n * b * (beta + n) / (n + 1), run as one pass of
+    np.multiply.accumulate over the interleaved factors b, beta + n,
+    1/(n + 1), real for a real b and complex otherwise.  numpy's complex
+    division by n + 1 multiplies by the rounded reciprocal, and a complex
+    times x + 0j rounds only as x*re and x*im, so every step rounds as the
+    complex loop does: the result is value-equal to the loop, and the bits
+    differ only in the sign of exact zeros, which are all +0 here.
     """
     if abs(b) > 1 + 1e-12:
         raise DomainError("binomial_series requires |b| <= 1")
     if order < 0:
         raise DomainError("binomial_series requires order >= 0")
-    if b.imag == 0:
-        n = np.arange(order)
-        steps = np.empty(3 * order + 1)
-        steps[0] = 1.0
-        steps[1::3] = b.real
-        steps[2::3] = beta + n
-        steps[3::3] = 1.0 / (n + 1)
-        # the loop's division adds a zero product to each real part, which
-        # turns a -0 into +0
-        return PowerSeries(np.multiply.accumulate(steps)[::3] + 0.0)
-    c = np.empty(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for n in range(order):
-        c[n + 1] = c[n] * b * (beta + n) / (n + 1)
-    return PowerSeries(c)
+    real = b.imag == 0
+    n = np.arange(order)
+    steps = np.empty(3 * order + 1, dtype=np.float64 if real else np.complex128)
+    steps[0] = 1.0
+    steps[1::3] = b.real if real else b
+    steps[2::3] = beta + n
+    steps[3::3] = 1.0 / (n + 1)
+    # + 0.0 turns every -0 into +0; the loop's zeros may carry either sign
+    return PowerSeries(np.multiply.accumulate(steps)[::3] + 0.0)
 
 
 def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -171,7 +166,9 @@ def ps_exp(u: PowerSeries) -> PowerSeries:
     Uses e_0 = 1, e_m = (1/m) * sum_{k=1..m} k*u_k*e_{m-k}, which keeps the
     result single-valued and branch-free.  The k*u_k are held reversed, so
     each e_m is one BLAS dot product of two contiguous slices: N dot
-    products, O(N**2) multiply-adds in all.
+    products, O(N**2) multiply-adds in all.  The ndarray.dot method reaches
+    the same BLAS call as np.dot, so the bits are the same, without the
+    per-call function dispatch.
     """
     if u.coeffs[0] != 0:
         raise DomainError("ps_exp requires a zero constant term")
@@ -181,7 +178,7 @@ def ps_exp(u: PowerSeries) -> PowerSeries:
     # ku_rev[n - k] = k * u_k
     ku_rev = np.arange(n, -1, -1) * u.coeffs[::-1]
     for m in range(1, n + 1):
-        e[m] = np.dot(e[:m], ku_rev[n - m : n]) / m
+        e[m] = e[:m].dot(ku_rev[n - m : n]) / m
     return PowerSeries(e)
 
 

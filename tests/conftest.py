@@ -1,5 +1,5 @@
-"""Shared fixtures: sampling grids, the table of a grid's points, and a
-reproducible random-series factory."""
+"""Shared fixtures: sampling grids, the table of a grid's points, a
+reproducible random-series factory and the scalar binomial recurrence."""
 import math
 
 import numpy as np
@@ -39,3 +39,13 @@ def grid_points(g):
     reference for `SampleGrid.point`."""
     angles = 2.0 * math.pi * np.arange(g.n_angles) / g.n_angles
     return g.radii[:, None] * np.exp(1j * angles[None, :])
+
+
+def binomial_loop(beta, b, order):
+    """The complex recurrence of binomial_series run one scalar step at a
+    time, the reference for its one-pass form."""
+    c = np.empty(order + 1, dtype=np.complex128)
+    c[0] = 1.0
+    for n in range(order):
+        c[n + 1] = c[n] * b * (beta + n) / (n + 1)
+    return c

@@ -30,7 +30,7 @@ from betacesaro.bloch import eval_on_grid
 from betacesaro.operators import symbol_spectrum
 from betacesaro.series import eval_on_points
 
-from .conftest import grid_points, random_poly
+from .conftest import binomial_loop, grid_points, random_poly
 
 
 def random_symbol(rng, n_terms=2, with_h=True, beta=None):
@@ -131,6 +131,31 @@ def test_symbol_series_rejects_negative_order():
     symbol_series(s, 8)
     with pytest.raises(DomainError):
         symbol_series(s, -2)
+
+
+def _symbol_series_loop(s, order):
+    """gamma summed as symbol_series sums it, from the scalar binomial loop."""
+    acc = np.zeros(order + 1, dtype=np.complex128)
+    for a, b in s.terms:
+        acc += a * binomial_loop(s.beta, b, order)
+    acc += s.h.truncate(order).coeffs
+    return acc
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.one_of(st.sampled_from([0.0, -1.0, -2.0]), st.floats(-3, 3)),
+    n_terms=st.integers(1, 3),
+    real_b=st.booleans(),
+    order=st.integers(0, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_symbol_series_matches_the_loop_bit_for_bit(seed, beta, n_terms, real_b, order):
+    # the loop's -0 zeros (beta a non-positive integer) land on the +0 sum
+    s = random_symbol(np.random.default_rng(seed), n_terms=n_terms, beta=beta)
+    if real_b:
+        s = SymbolGBeta(terms=((0.5 - 0.25j, 1.0),) + s.terms, beta=beta, h=s.h)
+    assert symbol_series(s, order).coeffs.tobytes() == _symbol_series_loop(s, order).tobytes()
 
 
 # ------------------------------------------------------------- application
@@ -234,9 +259,11 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257, 1024])
 def test_matrix_equals_row_loop_bit_for_bit(n):
-    # two fresh symbols, so each path builds its own symbol series
-    got = operator_matrix(_two_term_symbol(), n).entries
-    assert _same_bits(got, _row_loop_matrix(_two_term_symbol(), n))
+    # two fresh symbols, so each path builds its own symbol series; at beta
+    # 0 and -1 the binomial series hold exact zeros
+    for beta in (0.75, 0.0, -1.0):
+        got = operator_matrix(_two_term_symbol(beta), n).entries
+        assert _same_bits(got, _row_loop_matrix(_two_term_symbol(beta), n)), beta
 
 
 # ------------------------------------------------------------------ spectra
@@ -260,10 +287,10 @@ def test_spectrum_scales_with_symbol():
     np.testing.assert_allclose(b, (2 + 1j) * np.array(a))
 
 
-def _two_term_symbol():
+def _two_term_symbol(beta=0.75):
     return SymbolGBeta(
         terms=((1.5 - 0.5j, 1.0), (-0.7 + 0.2j, complex(math.cos(2.0), math.sin(2.0)))),
-        beta=0.75,
+        beta=beta,
         h=PowerSeries([0.1 + 0.3j, -0.2, 0.05j]),
     )
 
@@ -274,6 +301,23 @@ def test_symbol_spectrum_equals_matrix_diagonal_bit_for_bit(n):
     got = symbol_spectrum(_two_term_symbol(), n)
     want = truncated_spectrum(operator_matrix(_two_term_symbol(), n))
     assert np.array_equal(np.array(got).view(np.float64), np.array(want).view(np.float64))
+
+
+def _spectrum_loop(diag):
+    """Python complex values of diag sorted by decreasing modulus, one
+    element at a time."""
+    order = np.argsort(-np.abs(diag), kind="stable")
+    return [complex(diag[i]) for i in order]
+
+
+@pytest.mark.parametrize("n", [1, 4, 257])
+def test_spectrum_lists_match_the_loop(n):
+    s = _two_term_symbol()
+    m = operator_matrix(s, n)
+    want = list(map(repr, _spectrum_loop(np.diag(m.entries))))
+    for got in (truncated_spectrum(m), symbol_spectrum(s, n)):
+        assert all(type(x) is complex for x in got)
+        assert list(map(repr, got)) == want
 
 
 def test_symbol_spectrum_rejects_empty():

@@ -19,6 +19,8 @@ from betacesaro import (
 )
 from betacesaro.series import eval_on_points, tail_estimate
 
+from .conftest import binomial_loop
+
 # ---------------------------------------------------------------- strategies
 
 coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -74,37 +76,46 @@ def test_binomial_recurrence_exact(beta, angle):
         assert c[n + 1] == c[n] * b * (beta + n) / (n + 1)
 
 
-def _binomial_loop(beta, b, order):
-    """The complex recurrence of binomial_series, the reference for its
-    one-pass real-b path."""
-    c = np.empty(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for n in range(order):
-        c[n + 1] = c[n] * b * (beta + n) / (n + 1)
-    return c
-
-
 REAL_BS = (1.0, -1.0, 0.5, -0.3, 0.0)
+COMPLEX_BS = (1j, -1j, complex(math.cos(0.7), math.sin(0.7)),
+              complex(math.cos(2.5), math.sin(2.5)), -0.6 + 0.8j)
+LOOP_BETAS = (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5)
 
 
-def _assert_real_b_matches_loop(beta, b):
+def _assert_binomial_matches_loop(beta, b):
     for order in (0, 1, 2, 255, 4096):
-        ref = _binomial_loop(beta, complex(b), order)
+        ref = binomial_loop(beta, complex(b), order)
         c = binomial_series(beta, b, order).coeffs
-        assert c.real.tobytes() == ref.real.tobytes(), (beta, b, order)
         assert np.array_equal(c, ref), (beta, b, order)
+        # every exact zero is +0, where the loop's may be -0
+        parts = c.view(np.float64)
+        assert not np.any(np.signbit(parts[parts == 0])), (beta, b, order)
+        if b.imag == 0:
+            assert c.real.tobytes() == ref.real.tobytes(), (beta, b, order)
 
 
 @pytest.mark.parametrize("b", REAL_BS)
-@pytest.mark.parametrize("beta", (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5))
+@pytest.mark.parametrize("beta", LOOP_BETAS)
 def test_real_b_binomial_matches_the_loop(beta, b):
-    _assert_real_b_matches_loop(beta, b)
+    _assert_binomial_matches_loop(beta, b)
 
 
 @given(beta=st.floats(-3, 3), b=st.sampled_from(REAL_BS))
 @settings(max_examples=40, deadline=None)
 def test_real_b_binomial_matches_the_loop_for_any_beta(beta, b):
-    _assert_real_b_matches_loop(beta, b)
+    _assert_binomial_matches_loop(beta, b)
+
+
+@pytest.mark.parametrize("b", COMPLEX_BS)
+@pytest.mark.parametrize("beta", LOOP_BETAS)
+def test_complex_b_binomial_matches_the_loop(beta, b):
+    _assert_binomial_matches_loop(beta, b)
+
+
+@given(beta=st.floats(-3, 3), angle=st.floats(0, 2 * math.pi))
+@settings(max_examples=40, deadline=None)
+def test_complex_b_binomial_matches_the_loop_for_any_angle(beta, angle):
+    _assert_binomial_matches_loop(beta, complex(math.cos(angle), math.sin(angle)))
 
 
 def test_binomial_rejects_large_b():
@@ -236,6 +247,26 @@ def test_exp_matches_strided_reference(n, seed):
     # relative to the absolute-value series, which bounds every partial sum
     majorant = exp_reference(np.abs(u).astype(np.complex128)).real
     assert np.all(np.abs(got - exp_reference(u)) <= 1e-13 * majorant)
+
+
+def _exp_dot_loop(u: np.ndarray) -> np.ndarray:
+    """ps_exp's recurrence with the np.dot function in place of the
+    ndarray.dot method, the reference for its bits."""
+    n = u.size - 1
+    e = np.zeros(n + 1, dtype=np.complex128)
+    e[0] = 1.0
+    ku_rev = np.arange(n, -1, -1) * u[::-1]
+    for m in range(1, n + 1):
+        e[m] = np.dot(e[:m], ku_rev[n - m : n]) / m
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 1024, 4096])
+def test_exp_matches_the_dot_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    u = (rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)) / np.arange(1, n + 2)
+    u[0] = 0.0
+    assert ps_exp(PowerSeries(u)).coeffs.tobytes() == _exp_dot_loop(u).tobytes()
 
 
 def test_exp_rejects_nonzero_constant():
