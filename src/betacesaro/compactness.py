@@ -58,10 +58,12 @@ def null_family(
     unit estimated seminorm, and verify the compact-subset decay numerically.
 
     The monomial family is z^m; the dilation family is -log(1-z) dilated by
-    1 - 2^-m.
+    1 - 2^-m, which rounds to 1 for m >= 54, so that family stops at 53.
     """
     if m_max < 1:
         raise DomainError("null_family requires m_max >= 1")
+    if kind == "dilation" and 1.0 - 2.0 ** (-m_max) == 1.0:
+        raise DomainError(f"the dilation family needs m_max <= 53: 1 - 2^-{m_max} rounds to 1")
     if kind == "monomial":
         raw = [PowerSeries.monomial(m, order=max(order, 2 * m)) for m in range(1, m_max + 1)]
     elif kind == "dilation":

