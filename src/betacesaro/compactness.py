@@ -17,7 +17,7 @@ import numpy as np
 from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
 from .bounds import ProbeReport
 from .errors import DomainError
-from .operators import SymbolGBeta, apply_generalized, compact_approximant
+from .operators import SymbolGBeta, apply_generalized
 from .series import DEFAULT_ORDER, PowerSeries
 
 # Probe verdicts require decay below this fraction of the initial value.
@@ -51,6 +51,11 @@ def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
     return PowerSeries(c)
 
 
+def _unit_monomial(m: int, p: BlochParams, g: SampleGrid, order: int) -> tuple[PowerSeries, float]:
+    """z^m at order max(order, 2m) scaled to unit estimated seminorm, with that seminorm."""
+    return normalize(PowerSeries.monomial(m, order=max(order, 2 * m)), p, g)
+
+
 def null_family(
     kind: str, m_max: int, p: BlochParams, g: SampleGrid, order: int = DEFAULT_ORDER
 ) -> NullFamily:
@@ -65,13 +70,13 @@ def null_family(
     if kind == "dilation" and 1.0 - 2.0 ** (-m_max) == 1.0:
         raise DomainError(f"the dilation family needs m_max <= 53: 1 - 2^-{m_max} rounds to 1")
     if kind == "monomial":
-        raw = [PowerSeries.monomial(m, order=max(order, 2 * m)) for m in range(1, m_max + 1)]
+        scaled = [_unit_monomial(m, p, g, order) for m in range(1, m_max + 1)]
     elif kind == "dilation":
         w = truncated_log_witness(order)
-        raw = [w.dilate(1.0 - 2.0 ** (-m)) for m in range(1, m_max + 1)]
+        scaled = [normalize(w.dilate(1.0 - 2.0 ** (-m)), p, g) for m in range(1, m_max + 1)]
     else:
         raise DomainError(f"unknown family kind {kind!r}")
-    members, norms = zip(*(normalize(f, p, g) for f in raw))
+    members, norms = zip(*scaled)
     verified = _half_disk_sup(members[-1]) < NULL_SUP_THRESHOLD
     return NullFamily(kind=kind, members=members, normalization=norms, verified_null=verified)
 
@@ -87,9 +92,11 @@ def _log_slope(x: np.ndarray | list[float], values: list[float]) -> float | None
 
 
 def _decay_verdict(values: list[float], ok: str, bad: str) -> str:
-    """Consistent when the tail past the first factor-10 drop stays
-    monotonically decreasing (up to estimation noise); inconclusive with
-    fewer than two values, which show no trend either way."""
+    """Consistent when every value is 0 or the tail past the first factor-10
+    drop stays monotonically decreasing (up to estimation noise); otherwise
+    inconclusive with fewer than two values, which show no trend either way."""
+    if values and all(v == 0 for v in values):
+        return ok
     if len(values) < 2:
         return "inconclusive"
     first = values[0]
@@ -116,15 +123,10 @@ def compactness_probe(
         seminorm_estimate(apply_generalized(f, s), p, g).value for f in fam.members
     ]
     ms = np.arange(1, len(values) + 1, dtype=float)
-    verdict = (
-        "compact-consistent"
-        if all(v == 0 for v in values)
-        else _decay_verdict(values, "compact-consistent", "inconsistent")
-    )
     return ProbeReport(
         samples=tuple(zip(ms, values)),
         fitted_exponent=_log_slope(np.log(ms), values),
-        verdict=verdict,
+        verdict=_decay_verdict(values, "compact-consistent", "inconsistent"),
         labels=(fam.kind,),
     )
 
@@ -134,9 +136,17 @@ def default_test_family(
 ) -> list[PowerSeries]:
     """Normalized monomials z^m, m <= m_max, plus the normalized truncation
     of -log(1-z): the extremal witnesses of the counterexample regimes."""
-    members = [PowerSeries.monomial(m, order=max(order, 2 * m)) for m in range(1, m_max + 1)]
-    members.append(truncated_log_witness(order))
-    return [normalize(f, p, g)[0] for f in members]
+    members = [_unit_monomial(m, p, g, order)[0] for m in range(1, m_max + 1)]
+    return members + [normalize(truncated_log_witness(order), p, g)[0]]
+
+
+def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
+    """Norm of the operator applied to the unit vector z^n / ||z^n||; tends
+    to 0 like 1/n, witnessing the approximate eigenvalue 0."""
+    if n < 1:
+        raise DomainError("approximate_eigen_probe requires n >= 1")
+    h_n, _ = _unit_monomial(n, p, g, DEFAULT_ORDER)
+    return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 
 
 def essential_norm_probe(
@@ -146,34 +156,30 @@ def essential_norm_probe(
     test_family: list[PowerSeries],
     g: SampleGrid,
 ) -> ProbeReport:
-    """Empirical lower bound of the distance from the operator to its
-    dilation approximant, maximized over the test family, per dilation.
+    """Empirical lower bound of the distance from the operator C to its
+    dilation approximant f -> C(f_d), maximized over the test family, per
+    dilation d, and labelled by the first member that attains it.
 
+    Each distance is the estimated seminorm of C(f - f_d), equal to
+    C f - C(f_d) by linearity: one operator application per sample, and no
+    near-subnormal tail of f_d in the operand to slow the product inside C.
     Decay toward 0 with the dilation is the essential-norm-zero signature.
     """
     ds = list(dilations)
     if any(not 0 < d < 1 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
         raise DomainError("dilations must be increasing in (0, 1)")
-    images = [apply_generalized(f, s) for f in test_family]
-    samples = []
-    argmax_labels = []
+    if not test_family:
+        raise DomainError("essential_norm_probe requires a nonempty test family")
+    values, labels = [], []
     for d in ds:
-        best = 0.0
-        best_i = 0
-        for i, (f, image) in enumerate(zip(test_family, images)):
-            diff = image - compact_approximant(f, s, d)
-            v = seminorm_estimate(diff, p, g).value
-            if v > best:
-                best = v
-                best_i = i
-        samples.append((d, best))
-        argmax_labels.append(f"member-{best_i}")
-    values = [v for _, v in samples]
-    verdict = _decay_verdict(values, "essential-norm-zero-consistent", "inconsistent")
+        dists = [seminorm_estimate(apply_generalized(f - f.dilate(d), s), p, g).value
+                 for f in test_family]
+        values.append(max(dists))
+        labels.append(f"member-{dists.index(values[-1])}")
     return ProbeReport(
-        samples=tuple(samples),
+        samples=tuple(zip(ds, values)),
         # decay rate of the distance in -log(1-s)
         fitted_exponent=_log_slope([-math.log1p(-d) for d in ds], values),
-        verdict=verdict,
-        labels=tuple(argmax_labels),
+        verdict=_decay_verdict(values, "essential-norm-zero-consistent", "inconsistent"),
+        labels=tuple(labels),
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, normalize, seminorm_estimate
 from .bounds import classify, compare
 from .errors import DomainError, SpectrumEmptyError
 from .series import (
@@ -274,16 +273,6 @@ def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> Powe
     if not 0 < dilation < 1:
         raise DomainError("dilation must lie in (0, 1)")
     return apply_generalized(f.dilate(dilation), s)
-
-
-def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
-    """Norm of the operator applied to the unit vector z^n / ||z^n||; tends
-    to 0 like 1/n, witnessing the approximate eigenvalue 0."""
-    if n < 1:
-        raise DomainError("approximate_eigen_probe requires n >= 1")
-    order = max(DEFAULT_ORDER, 2 * n)
-    h_n, _ = normalize(PowerSeries.monomial(n, order=order), p, g)
-    return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 
 
 def preimage_under_cesaro(g: PowerSeries) -> PowerSeries:

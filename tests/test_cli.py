@@ -117,6 +117,19 @@ def test_essnorm_report(capsys):
     assert report["result"]["verdict"] == "essential-norm-zero-consistent"
 
 
+@pytest.mark.parametrize(
+    "command, verdict",
+    [("essnorm", "essential-norm-zero-consistent"), ("compactness", "compact-consistent")],
+)
+def test_probes_call_the_zero_operator_consistent(capsys, tmp_path, command, verdict):
+    # g = (1 - w)^0 - 1 = 0: every probe value is 0, which both probes accept
+    path = tmp_path / "zero.json"
+    path.write_text('{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0, "h": {"coeffs": [[-1, 0]]}}')
+    report = run_json(capsys, command, "--alpha", "2", "--symbol", str(path))
+    assert all(v == 0 for _, v in report["result"]["samples"])
+    assert report["result"]["verdict"] == verdict
+
+
 def test_compactness_exit_codes(capsys):
     code, out, _ = run(
         capsys,

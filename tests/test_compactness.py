@@ -1,6 +1,8 @@
 """Null families, compactness probes, and essential-norm decay."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacesaro import (
     BlochParams,
@@ -8,6 +10,7 @@ from betacesaro import (
     PowerSeries,
     SymbolGBeta,
     apply_generalized,
+    approximate_eigen_probe,
     bound_constant,
     compact_approximant,
     compactness_probe,
@@ -17,7 +20,9 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
+from betacesaro.bloch import normalize
 from betacesaro.compactness import NULL_SUP_THRESHOLD, _half_disk_sup
+from betacesaro.series import DEFAULT_ORDER
 
 # ------------------------------------------------------------- null families
 
@@ -187,6 +192,110 @@ def test_essnorm_bounded_by_norm_plus_approximant(grid):
         seminorm_estimate(compact_approximant(f, sym, s_dil), p, grid).value for f in fam
     )
     assert value <= bound_constant(alpha, beta) + k_norm + 1e-9
+
+
+def _essnorm_before(s, p, dilations, family, g):
+    """The distance as the probe first computed it, ||C f - C(f_d)||
+    maximized over f: per dilation, the maximum, the first member attaining
+    it and the runner-up distance."""
+    out = []
+    for d in dilations:
+        dists = [
+            seminorm_estimate(apply_generalized(f, s) - compact_approximant(f, s, d), p, g).value
+            for f in family
+        ]
+        ranked = sorted(dists, reverse=True)
+        out.append((ranked[0], dists.index(ranked[0]), ranked[1]))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.floats(-1.0, 2.5),
+    order=st.sampled_from([64, 256, 1024]),
+    dilations=st.lists(st.floats(0.3, 0.999, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=4, unique=True).map(sorted),
+)
+@settings(max_examples=25, deadline=None)
+def test_essnorm_matches_the_two_application_distance(seed, alpha, beta, order, dilations,
+                                                      coarse_grid):
+    # by linearity C(f - f_d) = C f - C(f_d); the one-application form keeps
+    # the values to rounding and the labels wherever the maximum is clear
+    r = np.random.default_rng(seed)
+    b = np.exp(1j * r.uniform(0.0, 2 * np.pi, 2))
+    s = SymbolGBeta(terms=((r.uniform(0.2, 2.0), b[0]), (r.uniform(-2.0, -0.2), b[1])), beta=beta)
+    p = BlochParams(alpha)
+    fam = default_test_family(p, coarse_grid, m_max=4, order=order)
+    rep = essential_norm_probe(s, p, dilations, fam, coarse_grid)
+    before = _essnorm_before(s, p, dilations, fam, coarse_grid)
+    for (d, value), label, (best, best_i, second) in zip(rep.samples, rep.labels, before):
+        assert value == pytest.approx(best, rel=1e-12)
+        if best - second > 1e-9 * best:
+            assert label == f"member-{best_i}"
+
+
+def test_essnorm_applies_the_operator_once_per_sample(grid, monkeypatch):
+    calls = []
+
+    def counting(f, s):
+        calls.append(f)
+        return apply_generalized(f, s)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("compact_approximant called")
+
+    monkeypatch.setattr("betacesaro.compactness.apply_generalized", counting)
+    monkeypatch.setattr("betacesaro.operators.compact_approximant", must_not_run)
+    p = BlochParams(1.0)
+    fam = default_test_family(p, grid, m_max=4, order=64)
+    dilations = [0.5, 0.9, 0.99]
+    essential_norm_probe(SymbolGBeta.beta_cesaro(1.0), p, dilations, fam, grid)
+    assert len(calls) == len(dilations) * len(fam)
+
+
+@pytest.mark.parametrize("dilations", [[0.5, 0.9, 0.99, 0.999], [0.9]])
+def test_essnorm_zero_operator_is_consistent(grid, dilations):
+    # g = 0: every distance is 0, which is the essential-norm-zero signature
+    # (a single all-zero sample included), as for the compactness probe
+    p = BlochParams(2.0)
+    fam = default_test_family(p, grid, m_max=4)
+    rep = essential_norm_probe(SymbolGBeta(terms=(), beta=1.0), p, dilations, fam, grid)
+    assert all(v == 0 for _, v in rep.samples)
+    assert rep.verdict == "essential-norm-zero-consistent"
+
+
+def test_essnorm_rejects_empty_family(grid, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("applied the operator")
+
+    monkeypatch.setattr("betacesaro.compactness.apply_generalized", must_not_run)
+    with pytest.raises(DomainError, match="nonempty test family"):
+        essential_norm_probe(SymbolGBeta.alexander(), BlochParams(1.0), [0.5, 0.9], [], grid)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_unit_monomials_keep_their_bits(alpha, grid):
+    # the families and approximate_eigen_probe share one unit-monomial
+    # builder; each equals the expression it replaced bit for bit
+    p = BlochParams(alpha)
+
+    def unit(m, order):
+        return normalize(PowerSeries.monomial(m, order=max(order, 2 * m)), p, grid)
+
+    fam = null_family("monomial", 40, p, grid, order=64)
+    for m, (f, nrm) in enumerate(zip(fam.members, fam.normalization), start=1):
+        want, want_nrm = unit(m, 64)
+        assert np.array_equal(f.coeffs, want.coeffs) and nrm == want_nrm
+    test_fam = default_test_family(p, grid, m_max=40, order=64)
+    for m, f in enumerate(test_fam[:-1], start=1):
+        assert np.array_equal(f.coeffs, unit(m, 64)[0].coeffs)
+    log_unit = normalize(truncated_log_witness(64), p, grid)[0]
+    assert np.array_equal(test_fam[-1].coeffs, log_unit.coeffs)
+    s = SymbolGBeta.beta_cesaro(0.5)
+    for n in (1, 4, 200):
+        want = seminorm_estimate(apply_generalized(unit(n, DEFAULT_ORDER)[0], s), p, grid).value
+        assert approximate_eigen_probe(s, n, p, grid) == want
 
 
 def test_default_test_family_contents(grid):
