@@ -23,6 +23,11 @@ _TAIL_WINDOW = 16
 # The smallest normal double; `dilate` writes +0 for any nonzero part below it.
 _TINY = np.finfo(np.float64).tiny
 
+# Block length of `ps_mul` when both spans exceed it.  256 and 512 time
+# alike on dense order-4096 products; 512 leaves every product with a span
+# of at most 512 (so every product of order below 512) on np.convolve's bits.
+_MUL_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -155,10 +160,16 @@ def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Cauchy product truncated to n = min(order_f, order_g).
 
     Only the span from the first to the last nonzero coefficient of each
-    operand is convolved, cut to the outputs of degree <= n, and the product
-    is written at its offset.  The cost is O(span_f * span_g) multiply-adds
-    by direct summation, so a monomial or a padded polynomial costs its
-    span, not O(n**2).
+    operand is convolved, and only toward the outputs of degree <= n; the
+    product is written at its offset.  When both spans exceed _MUL_BLOCK,
+    span_f is cut into blocks of _MUL_BLOCK coefficients, and block o is
+    convolved with the part of span_g that still reaches degree n and added
+    at its offset.  Each block then forms at most a _MUL_BLOCK**2 / 2
+    triangle of outputs above n, so a dense product costs about
+    (n + 1)**2 / 2 multiply-adds, not (n + 1)**2.  Otherwise one
+    np.convolve of the whole spans is assigned, so a product with a span of
+    at most _MUL_BLOCK keeps np.convolve's bits.  The summation is direct,
+    never an FFT: blocking changes only the order of the partial sums.
     """
     n = min(f.order, g.order)
     out = np.zeros(n + 1, dtype=np.complex128)
@@ -169,8 +180,14 @@ def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         span_a = a[lo_a : min(nz_a[-1], n - lo_b) + 1]
         span_b = b[lo_b : min(nz_b[-1], n - lo_a) + 1]
         lo = lo_a + lo_b
-        prod = np.convolve(span_a, span_b)[: n + 1 - lo]
-        out[lo : lo + prod.size] = prod
+        m = n + 1 - lo
+        step = _MUL_BLOCK if min(span_a.size, span_b.size) > _MUL_BLOCK else span_a.size
+        for o in range(0, span_a.size, step):
+            prod = np.convolve(span_a[o : o + step], span_b[: m - o])[: m - o]
+            if o:
+                out[lo + o : lo + o + prod.size] += prod
+            else:
+                out[lo : lo + prod.size] = prod
     return PowerSeries(out)
 
 
@@ -182,7 +199,8 @@ def ps_exp(u: PowerSeries) -> PowerSeries:
     each e_m is one BLAS dot product of two contiguous slices: N dot
     products, O(N**2) multiply-adds in all.  The ndarray.dot method reaches
     the same BLAS call as np.dot, so the bits are the same, without the
-    per-call function dispatch.
+    per-call function dispatch.  A coefficient that overflows is a
+    DomainError naming the first non-finite one, not a numpy warning.
     """
     if u.coeffs[0] != 0:
         raise DomainError("ps_exp requires a zero constant term")
@@ -191,8 +209,12 @@ def ps_exp(u: PowerSeries) -> PowerSeries:
     e[0] = 1.0
     # ku_rev[n - k] = k * u_k
     ku_rev = np.arange(n, -1, -1) * u.coeffs[::-1]
-    for m in range(1, n + 1):
-        e[m] = e[:m].dot(ku_rev[n - m : n]) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            e[m] = e[:m].dot(ku_rev[n - m : n]) / m
+    bad = np.flatnonzero(~np.isfinite(e))
+    if bad.size:
+        raise DomainError(f"exp(u) overflows: non-finite coefficient {bad[0]} at order {n}")
     return PowerSeries(e)
 
 

@@ -17,6 +17,7 @@ from betacesaro import (
     ps_integrate,
     ps_mul,
 )
+from betacesaro import series
 from betacesaro.series import eval_on_points, tail_estimate
 
 from .conftest import binomial_loop
@@ -190,6 +191,78 @@ def test_mul_by_single_term_is_bit_exact(pair, k, c, swap):
     assert np.array_equal(out.view(np.float64), want.view(np.float64))
 
 
+def _dense(rng, size):
+    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blocked_mul_matches_dense_convolution(seed):
+    # orders above the block length, so most pairs have two long spans and
+    # take the blocked path
+    rng = np.random.default_rng(seed)
+    a, b = (np.zeros(rng.integers(513, 4097), dtype=np.complex128) for _ in range(2))
+    for c in (a, b):
+        lead, trail = rng.integers(0, c.size // 4, 2)
+        c[lead : c.size - trail] = _dense(rng, c.size - trail - lead)
+    out = ps_mul(PowerSeries(a), PowerSeries(b)).coeffs
+    n = min(a.size, b.size) - 1
+    assert out.shape == (n + 1,)
+    scale = 1.0 + np.convolve(np.abs(a[: n + 1]), np.abs(b[: n + 1]))[: n + 1]
+    assert np.all(np.abs(out - dense_product(a, b)) <= 1e-13 * scale)
+
+
+def _one_block_pairs():
+    rng = np.random.default_rng(21)
+    gamma = binomial_series(1.5, complex(math.cos(0.7), math.sin(0.7)), 4096).coeffs
+    poly = np.zeros(4097, dtype=np.complex128)
+    poly[:65] = _dense(rng, 65)
+    short = np.zeros(4097, dtype=np.complex128)
+    short[3 : 3 + 512] = _dense(rng, 512)
+    dense = _dense(rng, 4097)
+    pairs = [(poly, gamma), (short, dense)]
+    for k, c in [(0, -1.0), (1, 0.5 - 2j), (300, -1j), (4095, 3.0)]:
+        mono = np.zeros(4097, dtype=np.complex128)
+        mono[k] = c
+        pairs += [(mono, dense), (dense, mono)]
+    return pairs
+
+
+def span_product(a, b):
+    """One np.convolve of the nonzero spans, cut to the outputs <= n and
+    assigned at their offset."""
+    n = min(a.size, b.size) - 1
+    out = np.zeros(n + 1, dtype=np.complex128)
+    (nz_a,), (nz_b,) = a[: n + 1].nonzero(), b[: n + 1].nonzero()
+    lo_a, lo_b = nz_a[0], nz_b[0]
+    span_a = a[lo_a : min(nz_a[-1], n - lo_b) + 1]
+    span_b = b[lo_b : min(nz_b[-1], n - lo_a) + 1]
+    prod = np.convolve(span_a, span_b)[: n + 1 - lo_a - lo_b]
+    out[lo_a + lo_b : lo_a + lo_b + prod.size] = prod
+    return out
+
+
+@pytest.mark.parametrize("pair", _one_block_pairs())
+def test_mul_with_a_span_of_one_block_is_convolve_bit_for_bit(pair):
+    f, g = pair
+    out = ps_mul(PowerSeries(f), PowerSeries(g)).coeffs
+    assert out.tobytes() == span_product(f, g).tobytes()
+
+
+def test_dense_mul_forms_only_the_truncated_triangle(monkeypatch):
+    madds = []
+    convolve = np.convolve
+
+    def counting(a, b, *args, **kwargs):
+        madds.append(len(a) * len(b))
+        return convolve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(series.np, "convolve", counting)
+    rng = np.random.default_rng(4096)
+    ps_mul(PowerSeries(_dense(rng, 4097)), PowerSeries(_dense(rng, 4097)))
+    # the outputs of degree <= n, plus at most a half block per block
+    assert sum(madds) <= 4097 * 4098 // 2 + 8 * 512**2 // 2
+
+
 @given(f=series_strategy(16), g=series_strategy(16))
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative(f, g):
@@ -272,6 +345,15 @@ def test_exp_matches_the_dot_loop_bit_for_bit(n):
 def test_exp_rejects_nonzero_constant():
     with pytest.raises(DomainError):
         ps_exp(PowerSeries([1, 1]))
+
+
+def test_exp_overflow_is_a_domain_error_not_a_warning():
+    # exp(1000 z) has coefficients e_m = 1000 e_{m-1} / m, and the product
+    # 1000 e_340 is the first beyond the largest double; the suite turns
+    # numpy warnings into errors
+    u = PowerSeries([0, 1000] + [0] * 510)
+    with pytest.raises(DomainError, match="non-finite coefficient 341 at order 511"):
+        ps_exp(u)
 
 
 @given(u=series_strategy(32, zero_constant=True), v=series_strategy(32, zero_constant=True))
