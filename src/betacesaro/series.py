@@ -23,9 +23,9 @@ _TAIL_WINDOW = 16
 # The smallest normal double; `dilate` writes +0 for any nonzero part below it.
 _TINY = np.finfo(np.float64).tiny
 
-# Block length of `ps_mul` when both spans exceed it.  256 and 512 time
-# alike on dense order-4096 products; 512 leaves every product with a span
-# of at most 512 (so every product of order below 512) on np.convolve's bits.
+# Block length of `ps_mul` when both spans exceed it.  512 leaves every
+# product with a span of at most 512 (so every product of order below 512)
+# on np.convolve's bits.
 _MUL_BLOCK = 512
 
 

@@ -197,10 +197,10 @@ def _dense(rng, size):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_blocked_mul_matches_dense_convolution(seed):
-    # orders above the block length, so most pairs have two long spans and
-    # take the blocked path
+    # orders 513-4096 with leading and trailing zero runs; every seed here
+    # leaves both spans longer than a block, so the product is blocked
     rng = np.random.default_rng(seed)
-    a, b = (np.zeros(rng.integers(513, 4097), dtype=np.complex128) for _ in range(2))
+    a, b = (np.zeros(rng.integers(514, 4098), dtype=np.complex128) for _ in range(2))
     for c in (a, b):
         lead, trail = rng.integers(0, c.size // 4, 2)
         c[lead : c.size - trail] = _dense(rng, c.size - trail - lead)
