@@ -83,12 +83,14 @@ def null_family(
 
 def _log_slope(x: np.ndarray | list[float], values: list[float]) -> float | None:
     """Slope of the least-squares line through (x, log v) over the samples
-    with v > 0; None when fewer than two are positive."""
+    with v > 0; None when fewer than two are positive or their x are too
+    close to determine a line."""
     pos = [(xi, v) for xi, v in zip(x, values) if v > 0]
     if len(pos) < 2:
         return None
     xs, vs = zip(*pos)
-    return float(np.polyfit(xs, np.log(vs), 1)[0])
+    coef, _, rank, _, _ = np.polyfit(xs, np.log(vs), 1, full=True)
+    return float(coef[0]) if rank == 2 else None
 
 
 def _decay_verdict(values: list[float], ok: str, bad: str) -> str:

@@ -171,6 +171,15 @@ def test_essnorm_rejects_bad_dilations(grid):
         essential_norm_probe(s, p, [0.5, 1.0], fam, grid)
 
 
+def test_essnorm_fits_no_slope_through_indistinguishable_dilations(grid):
+    # two adjacent floats are increasing, but too close to fit a line through
+    p = BlochParams(1.0)
+    fam = default_test_family(p, grid, m_max=4, order=64)
+    rep = essential_norm_probe(SymbolGBeta.alexander(), p, [0.3, 0.3000000000000001], fam, grid)
+    assert len(rep.samples) == 2
+    assert rep.fitted_exponent is None
+
+
 def test_essnorm_labels_argmax_members(grid):
     p = BlochParams(1.0)
     fam = default_test_family(p, grid, m_max=4)
