@@ -238,7 +238,7 @@ def _counterexample(args):
 def _compactness(args):
     p = BlochParams(args.alpha)
     grid = _grid_from_args(args)
-    fam = null_family(args.kind, args.m_max, p, grid, order=_order(args))
+    fam = null_family("monomial", args.m_max, p, grid, order=_order(args))
     report = compactness_probe(_symbol_from_args(args), p, fam, grid)
     code = EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
     return report.to_dict(), (["m", "image_norm"], report.samples), code
@@ -341,7 +341,6 @@ COMMANDS = {
         "null-family image-norm decay probe",
         (
             _ALPHA,
-            _arg("--kind", choices=["monomial", "dilation"], default="monomial"),
             _arg("--m-max", dest="m_max", type=_up_to_max_order("m_max"), default=32),
             *_OUTPUT,
             *_GRID,

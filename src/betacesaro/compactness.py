@@ -64,6 +64,9 @@ def null_family(
 
     The monomial family is z^m; the dilation family is -log(1-z) dilated by
     1 - 2^-m, which rounds to 1 for m >= 54, so that family stops at 53.
+    The dilation family is not null (it tends to -log(1-z), not to 0) and
+    stays only because the ``probes_n1024`` benchmark workload calls it,
+    until that workload's declared change (ROADMAP item 2).
     """
     if m_max < 1:
         raise DomainError("null_family requires m_max >= 1")

@@ -179,6 +179,42 @@ def test_beta_one_below_alpha_monomial_images_do_not_decay(alpha, limit):
     assert "Compact" in classify(alpha, 1.0).verdict
 
 
+def _kernel_image_ratio(alpha, a):
+    """||C_1 f_a|| / ||f_a|| for f_a = ((1-az)^(-alpha) - 1) / (a alpha), from
+    closed forms on a local grid z = 1 - (1-a) zeta around z = 1.
+
+    f_a' = (1-az)^(-alpha-1) and (C_1 f_a)' = f_a(z) / (z (1-z)).  With
+    eps = 1 - a: 1 - az = eps (1 + zeta - eps zeta), 1 - z = eps zeta and
+    1 - |z|^2 = 2 eps Re(zeta) - eps^2 |zeta|^2, so nothing cancels.  Both
+    seminorms grow like 1/eps, and their suprema sit near z = 1 on this grid.
+    """
+    eps = 1.0 - a
+    rho = np.geomspace(1e-3, 1e3, 1500)
+    thetas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 1601)
+    image = source = 0.0
+    for theta in np.array_split(thetas, 16):  # bounded temporaries
+        zeta = rho * np.exp(1j * theta[:, None])
+        w = np.maximum(2.0 * eps * zeta.real - eps**2 * np.abs(zeta) ** 2, 0.0) ** alpha
+        one_minus_az = eps * (1.0 + zeta - eps * zeta)
+        f = (one_minus_az ** (-alpha) - 1.0) / (a * alpha)
+        z = 1.0 - eps * zeta
+        image = max(image, np.max(w * np.abs(f) / (np.abs(z) * eps * np.abs(zeta))))
+        source = max(source, np.max(w * np.abs(one_minus_az) ** (-alpha - 1.0)))
+    return image / source
+
+
+@pytest.mark.parametrize("alpha, bound", [(1.5, 1.3803), (2.0, 0.8438), (3.0, 0.4682)])
+def test_beta_one_below_alpha_kernel_images_do_not_decay(alpha, bound):
+    # The normalized kernel functions f_a / ||f_a|| also tend to 0 on compact
+    # sets as a -> 1, and C_1 keeps their image norms near a bound above
+    # L(alpha): a larger lower bound of the essential norm of C_1, which
+    # classify still calls Compact (see the monomial test above).
+    big_l = math.e * (alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
+    ratio = _kernel_image_ratio(alpha, 1.0 - 1e-6)
+    assert ratio == pytest.approx(bound, abs=1e-3)
+    assert ratio > big_l
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.3, 0.1 + 0.2), (2.0, 1.0 + 1e-13)])
 def test_bound_constant_finite_within_tolerance(alpha, beta):
     assert math.isfinite(bound_constant(alpha, beta))

@@ -249,7 +249,7 @@ INPUT_FILES = {
         (["seminorm", "--alpha", "1", "--f", "[0, 1]", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
         (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
         (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
-        (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation", "--m-max", "54"], "error:"),
+        (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):

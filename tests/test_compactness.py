@@ -60,8 +60,8 @@ def test_dilation_default_base_is_log_witness(grid):
 def test_dilation_family_is_never_verified_null(alpha, grid):
     # a known limitation, pinned: on the default grid at order 256 the last
     # dilation of -log(1-z) keeps a half-disk sup of 0.12-0.63, far above
-    # NULL_SUP_THRESHOLD, so every --kind dilation verdict rests on a family
-    # that null_family itself flags as not null; the monomials pass
+    # NULL_SUP_THRESHOLD, so null_family itself flags the family as not
+    # null and no probe verdict on it can be trusted; the monomials pass
     p = BlochParams(alpha)
     dilation = null_family("dilation", 32, p, grid, order=256)
     assert not dilation.verified_null

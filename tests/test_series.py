@@ -92,7 +92,9 @@ def _assert_binomial_matches_loop(beta, b):
         parts = c.view(np.float64)
         assert not np.any(np.signbit(parts[parts == 0])), (beta, b, order)
         if b.imag == 0:
-            assert c.real.tobytes() == ref.real.tobytes(), (beta, b, order)
+            # bit for bit once the loop's zeros are +0 too: a subnormal beta
+            # underflows the loop to -0 (beta = -5e-324, b = 1, order 2)
+            assert c.real.tobytes() == (ref.real + 0.0).tobytes(), (beta, b, order)
 
 
 @pytest.mark.parametrize("b", REAL_BS)
@@ -102,6 +104,7 @@ def test_real_b_binomial_matches_the_loop(beta, b):
 
 
 @given(beta=st.floats(-3, 3), b=st.sampled_from(REAL_BS))
+@example(beta=-5e-324, b=1.0)
 @settings(max_examples=40, deadline=None)
 def test_real_b_binomial_matches_the_loop_for_any_beta(beta, b):
     _assert_binomial_matches_loop(beta, b)
@@ -515,6 +518,30 @@ def test_truncate_and_pad():
     padded = f.truncate(5)
     np.testing.assert_allclose(padded.coeffs, [1, 2, 3, 0, 0, 0])
     assert f.truncate(2) is f
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: PowerSeries.monomial(-1, order=5), r"monomial requires n >= 0, got -1"),
+        (lambda: PowerSeries.monomial(-3), r"monomial requires n >= 0, got -3"),
+        (lambda: PowerSeries.monomial(2, order=-1), r"monomial requires order >= 0, got -1"),
+        (lambda: PowerSeries.zero(-3), r"zero requires order >= 0, got -3"),
+        (lambda: PowerSeries.zero(10).truncate(-5), r"truncate requires order >= 0, got -5"),
+    ],
+)
+def test_negative_degree_or_order_is_a_domain_error(build, match):
+    # numpy would index from the end (z^5, an order-6 truncation) or raise
+    # its own "negative dimensions" error
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
+def test_zero_degree_and_order_are_valid():
+    assert PowerSeries.zero().coeffs.tolist() == [0j]
+    assert PowerSeries.monomial(0).coeffs.tolist() == [1 + 0j]
+    assert PowerSeries.monomial(2, order=0).coeffs.tolist() == [0j, 0j, 1 + 0j]
+    assert PowerSeries([1, 2, 3]).truncate(0).coeffs.tolist() == [1 + 0j]
 
 
 @given(f=series_strategy(32))
