@@ -26,7 +26,10 @@ DEFAULT_R_MAX = 0.999
 # keeps its ring table r^k (8 B) for each of its (n_radial + 1) x n_angular
 # points, at most 8.4 MB at the caps, and an evaluation adds about 32 B per
 # point of temporaries; `default_grid` keeps at most GRID_CACHE_SIZE grids
-# alive, so at most 34 MB of tables.
+# alive, so at most 34 MB of tables.  An evaluation also builds the block
+# powers (r^A)^q, 8 B per ring per block of A coefficients; they outgrow the
+# (rings x A) output only past 2A blocks, a long series on few angles:
+# 1025 rings at A = 1 and order 1024 take 8.4 MB, as much as the ring table.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 1024
 GRID_CACHE_SIZE = 4
@@ -102,7 +105,8 @@ class SampleGrid:
 
     @cached_property
     def ring_steps(self) -> np.ndarray:
-        """r^n_angles, shape (n_radii, 1): the Horner step between blocks."""
+        """r^n_angles, shape (n_radii, 1): the ratio between the powers
+        (r^A)^q of consecutive blocks of a ring's fold."""
         return _read_only(self.radii[:, None] ** self.n_angles)
 
     def weights(self, alpha: float) -> np.ndarray:
@@ -143,31 +147,42 @@ def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
 
     On the ring |z| = r the values at the angles 2*pi*k/A are A times the
     inverse DFT of the coefficients c_n r^n folded mod A.  The fold of bin k
-    is r^k * sum_q c_{k+qA} (r^A)^q, summed by Horner's rule in r^A over the
-    blocks of A coefficients up to the last nonzero one, so the whole grid
-    costs O(R (D + A log A)) for R radii and last nonzero degree D, instead
-    of the O(R A N) of Horner at every point.  The tables r^k and r^A are
-    the grid's own, built on its first evaluation.
+    is r^k * sum_q (r^A)^q c_{k+qA} over the blocks of A coefficients up to
+    the last nonzero one, so the whole grid costs O(R (D + A log A)) for R
+    radii and last nonzero degree D, instead of the O(R A N) of Horner at
+    every point.  The tables r^k and r^A are the grid's own, built on its
+    first evaluation.
+
+    The sum is one contraction of the block powers with the blocks, and its
+    bits are those of the loop acc = +0; acc = acc + (r^A)^q * block q for
+    q = 0, 1, ..., on real and imaginary parts alike, with (r^A)^q formed
+    by repeated multiplication.  The fold calls neither BLAS nor np.power,
+    so from the grid's tables it gives the same bits on every CPU (the
+    tables themselves are array powers), and a series of degree below A
+    gets its block itself (1.0 * x = x).
     """
     return _eval_on_rings(f, g, slice(None))
 
 
 def _eval_on_rings(f: PowerSeries, g: SampleGrid, rings: slice) -> np.ndarray:
-    """`eval_on_grid` on the rings g.radii[rings] only; every operation
-    acts row by row, so each row equals the full grid's row bit for bit."""
+    """`eval_on_grid` on the rings g.radii[rings] only; every operation,
+    the contraction included, acts row by row, so each row equals the full
+    grid's row bit for bit."""
     n_angles = g.n_angles
     nonzero = np.flatnonzero(f.coeffs)
     # all-zero blocks past the last nonzero coefficient leave the fold at +0
     n_blocks = int(nonzero[-1]) // n_angles + 1 if nonzero.size else 0
-    c = np.zeros(n_blocks * n_angles, dtype=np.complex128)
+    blocks = np.zeros((n_blocks, n_angles), dtype=np.complex128)
+    c = blocks.reshape(-1)
     c[: min(c.size, f.coeffs.size)] = f.coeffs[: c.size]
     step = g.ring_steps[rings]
-    # in place: a (radii x A) temporary per block would cost fresh pages
-    # whenever it is too large for the allocator to reuse
-    folded = np.zeros((step.size, n_angles), dtype=np.complex128)
-    for block in c.reshape(-1, n_angles)[::-1]:
-        folded *= step
-        folded += block
+    powers = np.empty((step.size, n_blocks))
+    powers[:, :1] = 1.0
+    powers[:, 1:] = step
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    # einsum without `optimize` sums in q order in its own loop; matmul,
+    # dot and tensordot would call BLAS, whose bits depend on the CPU
+    folded = np.einsum("rq,qa->ra", powers, blocks.view(np.float64)).view(np.complex128)
     folded *= g.ring_powers[rings]
     out = np.fft.ifft(folded, axis=1, out=folded)
     out *= n_angles

@@ -119,7 +119,10 @@ class PowerSeries:
 
 
 def _check_nonnegative(func: str, name: str, value: int) -> None:
-    # a negative degree or order would index numpy arrays from the end
+    # a float would end in numpy's or slicing's own TypeError, and a negative
+    # degree or order would index numpy arrays from the end
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{func} requires an integer {name}, got {value!r}")
     if value < 0:
         raise DomainError(f"{func} requires {name} >= 0, got {value}")
 

@@ -206,9 +206,9 @@ def test_ring_subset_rows_equal_full_grid_rows(order, n_radial, n_angular):
         assert part.tobytes() == full[rings].tobytes()
 
 
-def _eval_on_rings_before(f, radii, n_angles):
-    """The ring fold before grids kept their tables: every block folded,
-    zero blocks included, with r^k and r^A rebuilt per call."""
+def _horner_fold(f, radii, n_angles):
+    """The ring fold before the contraction: Horner's rule in r^A over every
+    block, zero blocks included, with r^k and r^A rebuilt per call."""
     c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
     r = radii[:, None]
     step = r**n_angles
@@ -222,12 +222,39 @@ def _eval_on_rings_before(f, radii, n_angles):
     return out
 
 
+def _power_sum_fold(f, radii, n_angles):
+    """The ring fold as an in-order power sum over the blocks up to the last
+    nonzero coefficient: acc = +0, then acc = acc + (r^A)^q * block q for
+    q = 0, 1, ..., each real and imaginary part on its own, with (r^A)^q
+    built by repeated multiplication; r^k and r^A are rebuilt per call."""
+    nonzero = np.flatnonzero(f.coeffs)
+    n_blocks = int(nonzero[-1]) // n_angles + 1 if nonzero.size else 0
+    c = np.concatenate((f.coeffs, np.zeros(max(n_blocks * n_angles - f.coeffs.size, 0))))
+    r = radii[:, None]
+    step = r**n_angles
+    power = np.ones_like(r)
+    acc = np.zeros((radii.size, 2 * n_angles))
+    for q, block in enumerate(c[: n_blocks * n_angles].reshape(-1, n_angles).view(np.float64)):
+        if q:
+            power = power * step
+        acc = acc + power * block
+    folded = acc.view(np.complex128) * r ** np.arange(n_angles)
+    out = np.fft.ifft(folded, axis=1)
+    out *= n_angles
+    return out
+
+
 def _random_coeffs(rng, n):
     return rng.uniform(-1.0, 1.0, (n, 2)) @ np.array([1.0, 1.0j])
 
 
+_RING_SUBSETS = (slice(None), slice(0, 1), slice(3, 9), slice(16, None))
+
+
 @pytest.mark.parametrize("n_angles", [1, 24, 100, 128])
-@pytest.mark.parametrize("case", ["dense", "trailing zero blocks", "all zero", "order below A"])
+@pytest.mark.parametrize(
+    "case", ["dense", "trailing zero blocks", "all zero", "order below A", "order far above A"]
+)
 def test_eval_on_rings_matches_the_per_call_fold_bit_for_bit(n_angles, case):
     rng = np.random.default_rng(n_angles)
     if case == "dense":
@@ -236,12 +263,30 @@ def test_eval_on_rings_matches_the_per_call_fold_bit_for_bit(n_angles, case):
         c = np.concatenate((_random_coeffs(rng, n_angles + 3), np.zeros(4 * n_angles + 5)))
     elif case == "all zero":
         c = np.zeros(2 * n_angles + 1)
-    else:
+    elif case == "order below A":
         c = _random_coeffs(rng, max(n_angles // 2, 1))
+    else:  # 1029 blocks at A = 1
+        c = _random_coeffs(rng, 1029)
     f = PowerSeries(c)
     g = default_grid(16, n_angles, 0.999)
-    for rings in (slice(None), slice(0, 1), slice(3, 9), slice(16, None)):
-        want = _eval_on_rings_before(f, g.radii[rings], n_angles)
+    for rings in _RING_SUBSETS:
+        want = _power_sum_fold(f, g.radii[rings], n_angles)
+        assert _eval_on_rings(f, g, rings).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_angles", [1, 24, 100, 128])
+@pytest.mark.parametrize("pad", [0, 1, 300])
+def test_one_block_fold_keeps_the_horner_bits(n_angles, pad):
+    # below degree A the fold is 1.0 * block, which is the block itself, so
+    # a series of degree < A keeps the bits of the Horner fold, whatever
+    # zeros pad it
+    rng = np.random.default_rng(n_angles + pad)
+    c = np.concatenate((_random_coeffs(rng, n_angles), np.zeros(pad)))
+    c[0] = -0.0  # a signed zero stays +0 under both folds
+    f = PowerSeries(c)
+    g = default_grid(16, n_angles, 0.999)
+    for rings in _RING_SUBSETS:
+        want = _horner_fold(f, g.radii[rings], n_angles)
         assert _eval_on_rings(f, g, rings).tobytes() == want.tobytes()
 
 
@@ -374,7 +419,7 @@ def _seminorm_estimate_before(f, p, g):
         stop = n_kept + int(np.argmax(over)) if over.any() else n_radii
         if stop == n_kept:
             break
-        prods = weights[n_kept:stop, None] * np.abs(_eval_on_rings_before(d, g.radii[n_kept:stop], n_angles))
+        prods = weights[n_kept:stop, None] * np.abs(_power_sum_fold(d, g.radii[n_kept:stop], n_angles))
         best = np.maximum(best, prods.max())
         passes.append(prods)
         n_kept = stop

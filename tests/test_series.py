@@ -537,6 +537,28 @@ def test_negative_degree_or_order_is_a_domain_error(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: PowerSeries.zero(2.5), r"zero requires an integer order, got 2\.5"),
+        (lambda: PowerSeries.monomial(1.5), r"monomial requires an integer n, got 1\.5"),
+        (lambda: PowerSeries.monomial(2, order=3.0), r"monomial requires an integer order, got 3\.0"),
+        (lambda: PowerSeries.zero(10).truncate(2.5), r"truncate requires an integer order, got 2\.5"),
+        (lambda: PowerSeries.zero(True), r"zero requires an integer order, got True"),
+    ],
+)
+def test_non_integer_degree_or_order_is_a_domain_error(build, match):
+    # numpy and slicing would raise their own TypeError
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
+def test_numpy_integer_degree_and_order_are_valid():
+    assert PowerSeries.zero(np.int64(2)).order == 2
+    assert PowerSeries.monomial(np.int32(1), order=np.int64(3)).coeffs.tolist() == [0j, 1 + 0j, 0j, 0j]
+    assert PowerSeries([1, 2, 3]).truncate(np.uint8(1)).coeffs.tolist() == [1 + 0j, 2 + 0j]
+
+
 def test_zero_degree_and_order_are_valid():
     assert PowerSeries.zero().coeffs.tolist() == [0j]
     assert PowerSeries.monomial(0).coeffs.tolist() == [1 + 0j]
