@@ -23,9 +23,10 @@ DEFAULT_N_ANGULAR = 128
 DEFAULT_R_MAX = 0.999
 
 # Caps on the grid counts `default_grid` (and so the CLI) accepts.  A grid
-# keeps its ring table r^k (8 B) for each of its (n_radial + 1) x n_angular
-# points, at most 8.4 MB at the caps, and an evaluation adds about 32 B per
-# point of temporaries; `default_grid` keeps at most GRID_CACHE_SIZE grids
+# keeps its ring table r^k (8 B) for k <= n_angular on each of n_radial + 1
+# rings, 8.4 MB at the caps, built once by libm in about 230 ms there (no
+# benchmark workload runs the caps); an evaluation adds about 32 B per point
+# of temporaries, and `default_grid` keeps at most GRID_CACHE_SIZE grids
 # alive, so at most 34 MB of tables.  An evaluation also builds the block
 # powers (r^A)^q, 8 B per ring per block of A coefficients; they outgrow the
 # (rings x A) output only past 2A blocks, a long series on few angles:
@@ -72,7 +73,7 @@ class SampleGrid:
     """Polar sampling grid: strictly increasing radii x the n_angles uniform
     angles 2*pi*k/A, k = 0..A-1, which the ring FFT of `eval_on_grid` assumes.
 
-    The grid is immutable: its radii and the tables it builds on first use
+    The grid is immutable: its radii and the table it builds on first use
     (the ring powers of `eval_on_grid`) are read-only, so one grid can serve
     every caller.  Grids compare and hash by identity.
     """
@@ -99,15 +100,9 @@ class SampleGrid:
 
     @cached_property
     def ring_powers(self) -> np.ndarray:
-        """r^k for k < n_angles, shape (n_radii, n_angles): the factor of
-        bin k of a ring's fold."""
-        return _read_only(self.radii[:, None] ** np.arange(self.n_angles))
-
-    @cached_property
-    def ring_steps(self) -> np.ndarray:
-        """r^n_angles, shape (n_radii, 1): the ratio between the powers
-        (r^A)^q of consecutive blocks of a ring's fold."""
-        return _read_only(self.radii[:, None] ** self.n_angles)
+        """r^k, k = 0..n_angles, by libm: column k < A is the factor of bin k
+        of a ring's fold, column A the ratio r^A of consecutive blocks."""
+        return _read_only(_per_element(math.pow, self.radii[:, None], np.arange(self.n_angles + 1)))
 
     def weights(self, alpha: float) -> np.ndarray:
         """(1 - r^2)^alpha per radius."""
@@ -136,7 +131,7 @@ def default_grid(
 @lru_cache(maxsize=GRID_CACHE_SIZE)
 def _shared_grid(n_radial: int, n_angular: int, r_max: float) -> SampleGrid:
     rho = (1.0 - r_max) ** (1.0 / n_radial)
-    radii = 1.0 - rho ** np.arange(n_radial + 1)
+    radii = 1.0 - _per_element(math.pow, rho, np.arange(n_radial + 1))
     radii[0] = 0.0
     radii[-1] = r_max
     return SampleGrid(radii=radii, n_angles=n_angular)
@@ -150,16 +145,15 @@ def eval_on_grid(f: PowerSeries, g: SampleGrid) -> np.ndarray:
     is r^k * sum_q (r^A)^q c_{k+qA} over the blocks of A coefficients up to
     the last nonzero one, so the whole grid costs O(R (D + A log A)) for R
     radii and last nonzero degree D, instead of the O(R A N) of Horner at
-    every point.  The tables r^k and r^A are the grid's own, built on its
-    first evaluation.
+    every point.  The table r^k, k = 0..A, is the grid's own, built by libm
+    on its first evaluation.
 
     The sum is one contraction of the block powers with the blocks, and its
     bits are those of the loop acc = +0; acc = acc + (r^A)^q * block q for
     q = 0, 1, ..., on real and imaginary parts alike, with (r^A)^q formed
     by repeated multiplication.  The fold calls neither BLAS nor np.power,
-    so from the grid's tables it gives the same bits on every CPU (the
-    tables themselves are array powers), and a series of degree below A
-    gets its block itself (1.0 * x = x).
+    and libm builds the table, so the values have the same bits on every
+    CPU, and a series of degree below A gets its block itself (1.0 * x = x).
     """
     return _eval_on_rings(f, g, slice(None))
 
@@ -175,15 +169,15 @@ def _eval_on_rings(f: PowerSeries, g: SampleGrid, rings: slice) -> np.ndarray:
     blocks = np.zeros((n_blocks, n_angles), dtype=np.complex128)
     c = blocks.reshape(-1)
     c[: min(c.size, f.coeffs.size)] = f.coeffs[: c.size]
-    step = g.ring_steps[rings]
-    powers = np.empty((step.size, n_blocks))
+    table = g.ring_powers[rings]
+    powers = np.empty((table.shape[0], n_blocks))
     powers[:, :1] = 1.0
-    powers[:, 1:] = step
+    powers[:, 1:] = table[:, -1:]
     np.multiply.accumulate(powers, axis=1, out=powers)
     # einsum without `optimize` sums in q order in its own loop; matmul,
     # dot and tensordot would call BLAS, whose bits depend on the CPU
     folded = np.einsum("rq,qa->ra", powers, blocks.view(np.float64)).view(np.complex128)
-    folded *= g.ring_powers[rings]
+    folded *= table[:, :-1]
     out = np.fft.ifft(folded, axis=1, out=folded)
     out *= n_angles
     return out
@@ -290,10 +284,11 @@ def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSerie
     return f.scale(1.0 / value), value
 
 
-def _per_element(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied to each element as a Python float, so libm computes it
-    (NumPy's SIMD log and power can differ from libm in the last bit)."""
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _per_element(fn, *args) -> np.ndarray:
+    """fn by libm on each element of the broadcast arguments (NumPy's SIMD log
+    and power can differ in the last bit); out= casts in bounded buffers."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, args)))
+    return np.frompyfunc(fn, len(args), 1)(*args, out=out, casting="unsafe")
 
 
 def growth_bound(p: BlochParams, r: float | np.ndarray, seminorm: float, f0: float) -> float | np.ndarray:
@@ -316,7 +311,7 @@ def growth_bound(p: BlochParams, r: float | np.ndarray, seminorm: float, f0: flo
     elif regime == 0:
         bound = f0 + 0.5 * seminorm * _per_element(math.log, (1.0 + r) / (1.0 - r))
     else:
-        bound = f0 + seminorm / (a - 1.0) * (_per_element(lambda x: x ** (1.0 - a), 1.0 - r) - 1.0)
+        bound = f0 + seminorm / (a - 1.0) * (_per_element(math.pow, 1.0 - r, 1.0 - a) - 1.0)
     return bound if bound.ndim else float(bound)
 
 

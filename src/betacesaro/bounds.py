@@ -8,6 +8,7 @@ maxima of radial profiles, since every certified bound depends on |z| only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,19 +175,25 @@ class ProbeReport:
         }
 
 
-def _fit_divergence(ts, values):
-    """Regress log(value) on L = -log(1-t) and log(L).
-
-    Returns (exponent, log_coefficient).  The log(L) regressor separates a
-    genuine logarithmic correction from the power-law exponent, which a
-    plain linear fit would absorb as bias.
-    """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    big_l = -np.log1p(-ts)
-    design = np.column_stack([big_l, np.log(big_l), np.ones_like(big_l)])
-    coef, *_ = np.linalg.lstsq(design, np.log(values), rcond=None)
-    return float(coef[0]), float(coef[1])
+def least_squares(columns, y) -> tuple[float, ...] | None:
+    """Coefficients of the one or two columns in the least-squares fit of y
+    by them plus a constant, from the centered normal equations in Python
+    floats and math.fsum (no BLAS kernel picks the bits); None with no more
+    samples than columns, or a Gram determinant of the centered columns at
+    most n * eps times the product of their uncentered sums of squares."""
+    n = len(y)
+    if n <= len(columns):
+        return None
+    data = (*columns, y)
+    cen = [[v - m for v in c] for c, m in zip(data, [math.fsum(c) / n for c in data])]
+    g = [[math.fsum(map(operator.mul, u, v)) for v in cen] for u in cen[:-1]]
+    if len(columns) == 1:
+        det, coefs = g[0][0], (g[0][1],)
+    else:
+        det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
+        coefs = (g[1][1] * g[0][2] - g[0][1] * g[1][2], g[0][0] * g[1][2] - g[0][1] * g[0][2])
+    scale = math.prod(math.fsum(map(operator.mul, c, c)) for c in columns)
+    return tuple(c / det for c in coefs) if det > n * math.ulp(1.0) * scale else None
 
 
 _EXAMPLE_TAGS = ("Ex26", "Ex27", "Ex28")
@@ -222,7 +229,13 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
             raise DomainError("Ex28 requires beta > 1")
         values = [(1.0 + t) ** (alpha + 1.0) / (1.0 - t) ** (beta - 1.0) for t in ts]
 
-    exponent, log_coef = _fit_divergence(ts, values)
+    # log(value) on L = -log(1-t) and log(L): the log(L) column keeps a
+    # logarithmic correction out of the exponent, where it would be bias
+    big_l = [-math.log1p(-t) for t in ts]
+    fit = least_squares([big_l, [math.log(x) for x in big_l]], [math.log(v) for v in values])
+    if fit is None:
+        raise DomainError("t_list needs at least three distinct values to fit")
+    exponent, log_coef = fit
     diverges = exponent > DIVERGENCE_THRESHOLD or log_coef > LOG_DETECTION_THRESHOLD
     return ProbeReport(
         samples=tuple(zip(ts, values)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
-from .bounds import ProbeReport
+from .bounds import ProbeReport, least_squares
 from .errors import DomainError
 from .operators import SymbolGBeta, apply_generalized
 from .series import DEFAULT_ORDER, PowerSeries
@@ -84,16 +84,13 @@ def null_family(
     return NullFamily(kind=kind, members=members, normalization=norms, verified_null=verified)
 
 
-def _log_slope(x: np.ndarray | list[float], values: list[float]) -> float | None:
+def _log_slope(x: list[float], values: list[float]) -> float | None:
     """Slope of the least-squares line through (x, log v) over the samples
     with v > 0; None when fewer than two are positive or their x are too
     close to determine a line."""
     pos = [(xi, v) for xi, v in zip(x, values) if v > 0]
-    if len(pos) < 2:
-        return None
-    xs, vs = zip(*pos)
-    coef, _, rank, _, _ = np.polyfit(xs, np.log(vs), 1, full=True)
-    return float(coef[0]) if rank == 2 else None
+    fit = least_squares([[xi for xi, _ in pos]], [math.log(v) for _, v in pos])
+    return None if fit is None else fit[0]
 
 
 def _decay_verdict(values: list[float], ok: str, bad: str) -> str:
@@ -130,7 +127,7 @@ def compactness_probe(
     ms = np.arange(1, len(values) + 1, dtype=float)
     return ProbeReport(
         samples=tuple(zip(ms, values)),
-        fitted_exponent=_log_slope(np.log(ms), values),
+        fitted_exponent=_log_slope([math.log(m) for m in ms], values),
         verdict=_decay_verdict(values, "compact-consistent", "inconsistent"),
         labels=(fam.kind,),
     )

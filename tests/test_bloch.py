@@ -96,11 +96,25 @@ def test_default_grid_is_shared_and_read_only():
     assert default_grid(n_radial=8, n_angular=16, r_max=np.float64(0.9)) is g
     assert default_grid() is default_grid(64, 128, 0.999)
     assert default_grid(8, 32, 0.9) is not g
-    eval_on_grid(PowerSeries([0, 1]), g)  # builds the ring tables
-    for a in (g.radii, g.ring_powers, g.ring_steps):
+    eval_on_grid(PowerSeries([0, 1]), g)  # builds the ring table
+    assert g.ring_powers.shape == (9, 17)
+    for a in (g.radii, g.ring_powers):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "n_radial, n_angular, r_max", [(8, 24, 0.99), (16, 100, 0.9), (48, 7, 0.9999), (100, 128, 0.999)]
+)
+def test_grid_tables_are_libm_powers(n_radial, n_angular, r_max):
+    # numpy's array power gives other last bits on other SIMD paths (AVX-512
+    # against AVX2), so the radii and the ring table come from libm
+    g = default_grid(n_radial, n_angular, r_max)
+    rho = (1.0 - r_max) ** (1.0 / n_radial)
+    radii = [0.0] + [1.0 - math.pow(rho, k) for k in range(1, n_radial)] + [r_max]
+    assert g.radii.tolist() == radii
+    assert g.ring_powers.tolist() == [[math.pow(r, k) for k in range(n_angular + 1)] for r in radii]
 
 
 def test_grids_compare_and_hash_by_identity():
@@ -206,17 +220,22 @@ def test_ring_subset_rows_equal_full_grid_rows(order, n_radial, n_angular):
         assert part.tobytes() == full[rings].tobytes()
 
 
+def _libm_powers(radii, n):
+    """r^k for k = 0..n by math.pow, shape (radii.size, n + 1)."""
+    return np.array([[math.pow(r, k) for k in range(n + 1)] for r in radii.tolist()])
+
+
 def _horner_fold(f, radii, n_angles):
     """The ring fold before the contraction: Horner's rule in r^A over every
     block, zero blocks included, with r^k and r^A rebuilt per call."""
     c = np.concatenate((f.coeffs, np.zeros(-f.coeffs.size % n_angles)))
-    r = radii[:, None]
-    step = r**n_angles
+    table = _libm_powers(radii, n_angles)
+    step = table[:, -1:]
     folded = np.zeros((radii.size, n_angles), dtype=np.complex128)
     for block in c.reshape(-1, n_angles)[::-1]:
         folded *= step
         folded += block
-    folded *= r ** np.arange(n_angles)
+    folded *= table[:, :-1]
     out = np.fft.ifft(folded, axis=1)
     out *= n_angles
     return out
@@ -230,15 +249,15 @@ def _power_sum_fold(f, radii, n_angles):
     nonzero = np.flatnonzero(f.coeffs)
     n_blocks = int(nonzero[-1]) // n_angles + 1 if nonzero.size else 0
     c = np.concatenate((f.coeffs, np.zeros(max(n_blocks * n_angles - f.coeffs.size, 0))))
-    r = radii[:, None]
-    step = r**n_angles
-    power = np.ones_like(r)
+    table = _libm_powers(radii, n_angles)
+    step = table[:, -1:]
+    power = np.ones_like(step)
     acc = np.zeros((radii.size, 2 * n_angles))
     for q, block in enumerate(c[: n_blocks * n_angles].reshape(-1, n_angles).view(np.float64)):
         if q:
             power = power * step
         acc = acc + power * block
-    folded = acc.view(np.complex128) * r ** np.arange(n_angles)
+    folded = acc.view(np.complex128) * table[:, :-1]
     out = np.fft.ifft(folded, axis=1)
     out *= n_angles
     return out

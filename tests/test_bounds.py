@@ -1,6 +1,7 @@
 """Boundedness constants, the decision table, and divergence probes."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from betacesaro import (
     apply_beta_cesaro,
 )
 
-from betacesaro.bounds import _PROFILES, REGIME_TOL, compare
+from betacesaro.bounds import _PROFILES, REGIME_TOL, compare, least_squares
 
 from .conftest import random_poly
 
@@ -395,6 +396,14 @@ def test_probe_rejects_bad_abscissas():
         counterexample_probe(0.5, 1.0, "Ex26", [0.5, 1.0])
 
 
+@pytest.mark.parametrize("ts", [[0.5], [0.5, 0.9], [0.5, 0.5, 0.5], [0.5, 0.9, 0.5, 0.9]])
+def test_probe_needs_three_distinct_abscissas(ts):
+    # a fit of an exponent, a log term and a constant: fewer distinct t
+    # used to give a minimum-norm "fit" and a verdict from one sample
+    with pytest.raises(DomainError, match="at least three distinct values"):
+        counterexample_probe(0.5, 1.0, "Ex26", ts)
+
+
 def test_probe_samples_sorted_and_serializable():
     rep = counterexample_probe(0.5, 1.0, "Ex26", [0.9, 0.5, 0.99])
     ts = [t for t, _ in rep.samples]
@@ -443,3 +452,64 @@ def test_one_minus_power_bound_decreasing_to_zero():
 def test_one_minus_power_bound_rejects_zero():
     with pytest.raises(DomainError):
         one_minus_power_bound(0)
+
+
+# ---------------------------------------------------------- least squares
+
+
+def _exact_least_squares(columns, y):
+    """Column coefficients of the fit of y by the columns and a constant,
+    from the normal equations solved in exact rational arithmetic."""
+    rows = [[Fraction(v) for v in row] + [Fraction(1)] for row in zip(*columns)]
+    k = len(rows[0])
+    a = [
+        [sum(r[i] * r[j] for r in rows) for j in range(k)]
+        + [sum(r[i] * Fraction(v) for r, v in zip(rows, y))]
+        for i in range(k)
+    ]
+    for i in range(k):  # Gauss-Jordan; the Gram matrix is positive definite
+        a[i] = [x / a[i][i] for x in a[i]]
+        for j in range(k):
+            if j != i:
+                a[j] = [x - a[j][i] * p for x, p in zip(a[j], a[i])]
+    return [row[-1] for row in a[:-1]]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("n_columns", [1, 2])
+def test_least_squares_matches_the_exact_fit(seed, n_columns):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_columns + 1, 25))
+    columns = [rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+               for _ in range(n_columns)]
+    y = sum(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) * c for c in columns) + rng.normal(0, 0.1, n)
+    got = least_squares([c.tolist() for c in columns], y.tolist())
+    want = _exact_least_squares(columns, y)
+    assert got is not None
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - w) <= Fraction(1e-12) * abs(w)
+
+
+def test_least_squares_matches_the_exact_fit_of_the_counterexample_columns():
+    big_l = [-math.log1p(-t) for t in default_probe_ts()]
+    columns = [big_l, [math.log(x) for x in big_l]]
+    y = [0.5 * x + math.log(1.0 + x) for x in big_l]
+    for g, w in zip(least_squares(columns, y), _exact_least_squares(columns, y)):
+        assert abs(Fraction(g) - w) <= Fraction(1e-12) * abs(w)
+
+
+@pytest.mark.parametrize(
+    "columns, y",
+    [
+        ([[0.1, 0.1, 0.1]], [1.0, 2.0, 3.0]),  # constant column
+        ([[0.3, 0.3000000000000001]], [1.0, 2.0]),  # two adjacent floats
+        ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [1.0, 5.0, 2.0]),  # duplicated column
+        ([[1.0, 2.0, 3.0], [0.2, 0.4, 0.6]], [1.0, 5.0, 2.0]),  # proportional columns
+        ([[1.0, 2.0, 3.0], [7.0, 7.0, 7.0]], [1.0, 5.0, 2.0]),  # one constant column
+        ([[2.0]], [1.0]),  # no more samples than columns
+        ([[1.0, 2.0], [3.0, 5.0]], [1.0, 2.0]),
+        ([[]], []),
+    ],
+)
+def test_least_squares_returns_none_when_the_columns_do_not_determine_the_fit(columns, y):
+    assert least_squares(columns, y) is None
