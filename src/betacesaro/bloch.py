@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_alpha, check_integer
 from .bounds import compare
 from .series import PowerSeries, ps_derivative, tail_estimate
 
@@ -50,17 +50,7 @@ class BlochParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError("alpha must be positive")
-
-
-def _count(name: str, value, cap: int | None = None) -> int:
-    """value as a count >= 1, at most cap; bool and float are not counts."""
-    if type(value) is not int or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    if cap is not None and value > cap:
-        raise DomainError(f"{name} must be at most {cap}, got {value}")
-    return value
+        check_alpha(self.alpha)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -91,7 +81,7 @@ class SampleGrid:
             raise DomainError("radii must be strictly increasing")
         if r[-1] >= 1 or r[0] < 0:
             raise DomainError("radii must lie in [0, 1)")
-        _count("n_angles", self.n_angles)
+        object.__setattr__(self, "n_angles", check_integer("SampleGrid", "n_angles", self.n_angles, 1))
         object.__setattr__(self, "radii", _read_only(r))
 
     def point(self, i: int, j: int) -> complex:
@@ -123,8 +113,8 @@ def default_grid(
     """
     if not 0 < r_max < 1:
         raise DomainError("r_max must lie in (0, 1)")
-    n_radial = _count("n_radial", n_radial, MAX_N_RADIAL)
-    n_angular = _count("n_angular", n_angular, MAX_N_ANGULAR)
+    n_radial = check_integer("default_grid", "n_radial", n_radial, 1, MAX_N_RADIAL)
+    n_angular = check_integer("default_grid", "n_angular", n_angular, 1, MAX_N_ANGULAR)
     return _shared_grid(n_radial, n_angular, float(r_max))
 
 

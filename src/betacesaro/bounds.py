@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_alpha, check_integer
 
 # Least-squares divergence exponents above this threshold count as divergent.
 DIVERGENCE_THRESHOLD = 0.05
@@ -120,8 +120,7 @@ class Classification:
 def classify(alpha: float, beta: float) -> Classification:
     """Total, deterministic decision table on alpha > 0, beta real; equality
     with a boundary means equality up to REGIME_TOL."""
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    check_alpha(alpha)
     beta_vs_alpha = compare(beta, alpha)
     alpha_vs_1 = compare(alpha, 1.0)
     if beta_vs_alpha > 0:
@@ -207,6 +206,7 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
     Ex27 (beta >= alpha >= 1):  same times |log(1-t)| / t
     Ex28 (beta > 1):            (1+t)^(alpha+1) / (1-t)^(beta-1)
     """
+    check_alpha(alpha)
     if which not in _EXAMPLE_TAGS:
         raise DomainError(f"unknown probe {which!r}")
     ts = sorted(float(t) for t in t_list)
@@ -266,8 +266,7 @@ def one_minus_power_bound(n: int) -> float:
 
     |1 - exp(ln2/n)| + exp(ln2/n) * ((cos(pi/2n) - 1)^2 + sin^2(pi/2n))^(1/2)
     """
-    if n < 1:
-        raise DomainError("one_minus_power_bound requires n >= 1")
+    n = check_integer("one_minus_power_bound", "n", n, 1)
     e = math.exp(math.log(2.0) / n)
     ang = math.pi / (2.0 * n)
     return abs(1.0 - e) + e * math.hypot(math.cos(ang) - 1.0, math.sin(ang))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
 from .bounds import ProbeReport, least_squares
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .operators import SymbolGBeta, apply_generalized
 from .series import DEFAULT_ORDER, PowerSeries
 
@@ -46,6 +46,7 @@ def _half_disk_sup(f: PowerSeries) -> float:
 
 def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
     """Truncation of -log(1-z), the extremal witness of the log regime."""
+    order = check_integer("truncated_log_witness", "order", order, 0)
     c = np.zeros(order + 1, dtype=np.complex128)
     c[1:] = 1.0 / np.arange(1, order + 1)
     return PowerSeries(c)
@@ -68,8 +69,7 @@ def null_family(
     stays only because the ``probes_n1024`` benchmark workload calls it,
     until that workload's declared change (ROADMAP item 2).
     """
-    if m_max < 1:
-        raise DomainError("null_family requires m_max >= 1")
+    m_max = check_integer("null_family", "m_max", m_max, 1)
     if kind == "dilation" and 1.0 - 2.0 ** (-m_max) == 1.0:
         raise DomainError(f"the dilation family needs m_max <= 53: 1 - 2^-{m_max} rounds to 1")
     if kind == "monomial":
@@ -138,6 +138,7 @@ def default_test_family(
 ) -> list[PowerSeries]:
     """Normalized monomials z^m, m <= m_max, plus the normalized truncation
     of -log(1-z): the extremal witnesses of the counterexample regimes."""
+    m_max = check_integer("default_test_family", "m_max", m_max, 0)
     members = [_unit_monomial(m, p, g, order)[0] for m in range(1, m_max + 1)]
     return members + [normalize(truncated_log_witness(order), p, g)[0]]
 
@@ -145,8 +146,7 @@ def default_test_family(
 def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
     """Norm of the operator applied to the unit vector z^n / ||z^n||; tends
     to 0 like 1/n, witnessing the approximate eigenvalue 0."""
-    if n < 1:
-        raise DomainError("approximate_eigen_probe requires n >= 1")
+    n = check_integer("approximate_eigen_probe", "n", n, 1)
     h_n, _ = _unit_monomial(n, p, g, DEFAULT_ORDER)
     return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import classify, compare
-from .errors import DomainError, SpectrumEmptyError
+from .errors import DomainError, SpectrumEmptyError, check_alpha, check_integer
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
@@ -109,8 +109,7 @@ def symbol_series(s: SymbolGBeta, order: int) -> PowerSeries:
     coefficient, so gamma to order K is a bit-exact prefix of gamma to any
     larger order.
     """
-    if order < 0:
-        raise DomainError("symbol_series requires order >= 0")
+    order = check_integer("symbol_series", "order", order, 0)
     if s._gamma is None or s._gamma.order < order:
         acc = np.zeros(order + 1, dtype=np.complex128)
         for a, b in s.terms:
@@ -156,8 +155,7 @@ def operator_matrix(s: SymbolGBeta, n: int) -> OperatorMatrix:
     the two differ only on a -0 real part, and gamma holds none (it is
     summed onto +0), so the entries have the bits of the division.
     """
-    if n < 1:
-        raise DomainError("operator_matrix requires N >= 1")
+    n = check_integer("operator_matrix", "N", n, 1)
     gamma = symbol_series(s, n - 1).coeffs
     padded = np.concatenate((gamma[::-1], np.zeros(n - 1)))
     toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
@@ -177,8 +175,7 @@ def symbol_spectrum(s: SymbolGBeta, n: int) -> list[complex]:
     """The same eigenvalues as truncated_spectrum(operator_matrix(s, n)),
     read from gamma_0 without building the n x n matrix: its diagonal is
     gamma_0 / m for m = 1..n."""
-    if n < 1:
-        raise DomainError("symbol_spectrum requires N >= 1")
+    n = check_integer("symbol_spectrum", "N", n, 1)
     return _by_modulus(symbol_series(s, 0).coeffs / np.arange(1, n + 1))
 
 
@@ -199,10 +196,8 @@ def eigenfunction_psi(s: SymbolGBeta, n: int, order: int = DEFAULT_ORDER) -> Pow
     g(0) bit for bit (both sum the same terms in the same order), so
     (g(w) - g(0)) / w has the coefficients gamma_1..gamma_order.
     """
-    if n < 1:
-        raise DomainError("eigenfunction_psi requires n >= 1")
-    if order < 1:
-        raise DomainError("eigenfunction_psi requires order >= 1")
+    n = check_integer("eigenfunction_psi", "n", n, 1)
+    order = check_integer("eigenfunction_psi", "order", order, 1)
     g0 = s.value_at_zero()
     if _vanishes(g0):
         raise SpectrumEmptyError("symbol vanishes at the origin: no eigenfunctions")
@@ -237,6 +232,7 @@ class SpectrumReport:
 def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
     """Predicted eigenvalue set of the operator, with the parameter-regime
     conditions evaluated as verdicts rather than exceptions."""
+    check_alpha(alpha)
     g0 = s.value_at_zero()
     empty = _vanishes(g0)
     beta = s.beta

@@ -1,6 +1,7 @@
 """Seminorm estimation on disk grids, growth bounds, and grid plumbing."""
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -65,10 +66,20 @@ def test_default_grid_rejects_boundary():
         default_grid(4, 8, 1.0)
 
 
-@pytest.mark.parametrize("n_radial, n_angular", [(3.5, 8), (4.0, 8), (True, 8), (0, 8), (4, 8.0), (4, False)])
-def test_default_grid_counts_must_be_integers(n_radial, n_angular):
+@pytest.mark.parametrize(
+    "n_radial, n_angular, message",
+    [
+        pytest.param(3.5, 8, "an integer n_radial, got 3.5", id="3.5-8"),
+        pytest.param(4.0, 8, "an integer n_radial, got 4.0", id="4.0-8"),
+        pytest.param(True, 8, "an integer n_radial, got True", id="True-8"),
+        pytest.param(0, 8, "n_radial >= 1, got 0", id="0-8"),
+        pytest.param(4, 8.0, "an integer n_angular, got 8.0", id="4-8.0"),
+        pytest.param(4, False, "an integer n_angular, got False", id="4-False"),
+    ],
+)
+def test_default_grid_counts_must_be_integers(n_radial, n_angular, message):
     # 3.5 used to build 5 radii; 4.0 would share the cached grid of 4
-    with pytest.raises(DomainError, match="must be an integer >= 1"):
+    with pytest.raises(DomainError, match=re.escape(f"default_grid requires {message}")):
         default_grid(n_radial, n_angular, 0.999)
 
 
@@ -76,7 +87,11 @@ def test_default_grid_counts_must_be_integers(n_radial, n_angular):
 def test_default_grid_rejects_counts_above_the_caps_before_allocating(n_radial, n_angular):
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="must be at most"):
+        if n_radial > MAX_N_RADIAL:
+            message = f"n_radial <= {MAX_N_RADIAL}, got {n_radial}"
+        else:
+            message = f"n_angular <= {MAX_N_ANGULAR}, got {n_angular}"
+        with pytest.raises(DomainError, match=f"default_grid requires {message}"):
             default_grid(n_radial, n_angular, 0.999)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -250,6 +250,8 @@ INPUT_FILES = {
         (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
         (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
         (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
+        (["counterexample", "--alpha", "-1", "--beta", "2", "--which", "Ex26"], "error:"),
+        (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
