@@ -96,6 +96,7 @@ class SampleGrid:
 
     def weights(self, alpha: float) -> np.ndarray:
         """(1 - r^2)^alpha per radius."""
+        check_alpha(alpha)
         return (1.0 - self.radii**2) ** alpha
 
 

@@ -195,7 +195,11 @@ def test_grid_radii_must_be_a_nonempty_vector(radii):
 
 @pytest.mark.parametrize("n_angles", [0, -1, 2.0, True])
 def test_grid_n_angles_must_be_a_positive_integer(n_angles):
-    with pytest.raises(DomainError):
+    if isinstance(n_angles, int) and not isinstance(n_angles, bool):
+        message = f"SampleGrid requires n_angles >= 1, got {n_angles}"
+    else:
+        message = f"SampleGrid requires an integer n_angles, got {n_angles!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         SampleGrid(radii=np.array([0.0, 0.5]), n_angles=n_angles)
 
 

@@ -31,10 +31,9 @@ GRID = SampleGrid(np.array([0.0, 0.5, 0.9]), 8)
 
 # (where, name, low, call): call(value) passes value as that argument.
 # test_series pins PowerSeries.zero, monomial and truncate, test_bloch
-# default_grid.
+# SampleGrid's n_angles and default_grid's counts.
 SITES = [
     ("binomial_series", "order", 0, lambda v: binomial_series(1.0, 1.0, v)),
-    ("SampleGrid", "n_angles", 1, lambda v: SampleGrid(np.array([0.5]), v)),
     ("symbol_series", "order", 0, lambda v: symbol_series(SYMBOL, v)),
     ("operator_matrix", "N", 1, lambda v: operator_matrix(SYMBOL, v)),
     ("symbol_spectrum", "N", 1, lambda v: symbol_spectrum(SYMBOL, v)),
@@ -77,10 +76,12 @@ def test_check_integer_returns_a_python_int_in_range():
         lambda a: counterexample_probe(a, 2.0, "Ex26", default_probe_ts()),
         lambda a: counterexample_probe(a, 2.0, "Ex28", default_probe_ts()),
         lambda a: point_spectrum(SYMBOL, a),
+        lambda a: GRID.weights(a),
     ],
-    ids=["counterexample_probe-Ex26", "counterexample_probe-Ex28", "point_spectrum"],
+    ids=["counterexample_probe-Ex26", "counterexample_probe-Ex28", "point_spectrum", "SampleGrid.weights"],
 )
-def test_alpha_must_be_positive_in_every_probe(call, alpha):
-    # counterexample_probe used to fit a `diverges` verdict at alpha = -1
+def test_alpha_must_be_positive_at_every_site(call, alpha):
+    # counterexample_probe used to fit a `diverges` verdict at alpha = -1,
+    # and SampleGrid.weights returned all ones at alpha = 0
     with pytest.raises(DomainError, match="^alpha must be positive$"):
         call(alpha)
