@@ -31,6 +31,10 @@ DEFAULT_R_MAX = 0.999
 # powers (r^A)^q, 8 B per ring per block of A coefficients; they outgrow the
 # (rings x A) output only past 2A blocks, a long series on few angles:
 # 1025 rings at A = 1 and order 1024 take 8.4 MB, as much as the ring table.
+# The probe families share at most compactness.MEMBER_CACHE_SIZE = 8
+# unnormalized members, of order at most 2048 at the CLI caps, so at most
+# 8 x 16 x 2049 B = 262 KB of coefficients; each keeps its estimates on one
+# grid, which on every CLI path is the shared default grid.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 1024
 GRID_CACHE_SIZE = 4
@@ -216,14 +220,18 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     screening stops at the first ring that fails the bound right at the
     start of a pass.
 
-    The estimate is kept on f, and a call with equal params and the same
-    grid object returns it without evaluating again; f keeps only its last
-    estimate.
+    The estimate is kept on f, one per params for one grid object, and a
+    call with equal params and the same grid object returns it without
+    evaluating again; an estimate on another grid object replaces them all,
+    so f keeps at most one grid alive.
     """
-    if f._seminorm is not None and f._seminorm[0] == p and f._seminorm[1] is g:
-        return f._seminorm[2]
-    est = _estimate(f, p, g)
-    object.__setattr__(f, "_seminorm", (p, g, est))
+    memo = f._seminorm
+    if memo is None or memo[0] is not g:
+        memo = (g, {})
+        object.__setattr__(f, "_seminorm", memo)
+    est = memo[1].get(p)
+    if est is None:
+        est = memo[1][p] = _estimate(f, p, g)
     return est
 
 

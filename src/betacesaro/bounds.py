@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_alpha, check_integer
+from .errors import DomainError, check_alpha
 
 # Least-squares divergence exponents above this threshold count as divergent.
 DIVERGENCE_THRESHOLD = 0.05
@@ -259,14 +259,3 @@ def default_probe_ts(t_max: float = 0.9999) -> list[float]:
     lmin = min(-math.log1p(-0.9), 0.5 * lmax)
     n = 12
     return [1.0 - math.exp(-(lmin + (lmax - lmin) * k / (n - 1))) for k in range(n)]
-
-
-def one_minus_power_bound(n: int) -> float:
-    """z-independent majorant of sup |1 - (1 - b z)^(1/n)| over the disk:
-
-    |1 - exp(ln2/n)| + exp(ln2/n) * ((cos(pi/2n) - 1)^2 + sin^2(pi/2n))^(1/2)
-    """
-    n = check_integer("one_minus_power_bound", "n", n, 1)
-    e = math.exp(math.log(2.0) / n)
-    ang = math.pi / (2.0 * n)
-    return abs(1.0 - e) + e * math.hypot(math.cos(ang) - 1.0, math.sin(ang))

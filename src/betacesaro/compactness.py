@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,10 @@ DECAY_FACTOR = 0.1
 NULL_SUP_THRESHOLD = 1e-3
 
 _HALF_DISK = SampleGrid(np.array([0.5]), 64)
+
+# Bound on the unnormalized family members `_member` shares across calls;
+# the memory they keep is counted with the grid tables in bloch.py.
+MEMBER_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,23 @@ def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
     return PowerSeries(c)
 
 
+@lru_cache(maxsize=MEMBER_CACHE_SIZE)
+def _member(kind: str, m: int, order: int) -> PowerSeries:
+    """The unnormalized family member, built once and shared: z^m at order
+    max(order, 2m) ("monomial"), the log witness at order ("log", m unused)
+    or its dilation by 1 - 2^-m ("dilation").  Series are immutable, and
+    each keeps its own seminorm estimates, so a warm member's estimate is
+    one lookup."""
+    if kind == "monomial":
+        return PowerSeries.monomial(m, order=max(order, 2 * m))
+    if kind == "log":
+        return truncated_log_witness(order)
+    return _member("log", 0, order).dilate(1.0 - 2.0 ** (-m))
+
+
 def _unit_monomial(m: int, p: BlochParams, g: SampleGrid, order: int) -> tuple[PowerSeries, float]:
     """z^m at order max(order, 2m) scaled to unit estimated seminorm, with that seminorm."""
-    return normalize(PowerSeries.monomial(m, order=max(order, 2 * m)), p, g)
+    return normalize(_member("monomial", m, order), p, g)
 
 
 def null_family(
@@ -67,16 +86,19 @@ def null_family(
     1 - 2^-m, which rounds to 1 for m >= 54, so that family stops at 53.
     The dilation family is not null (it tends to -log(1-z), not to 0) and
     stays only because the ``probes_n1024`` benchmark workload calls it,
-    until that workload's declared change (ROADMAP item 2).
+    until that workload's declared change (ROADMAP item 3).
+
+    The unnormalized members are built once per process and shared (see
+    `_member`); each call scales them to this params and grid.
     """
     m_max = check_integer("null_family", "m_max", m_max, 1)
+    order = check_integer("null_family", "order", order, 0)
     if kind == "dilation" and 1.0 - 2.0 ** (-m_max) == 1.0:
         raise DomainError(f"the dilation family needs m_max <= 53: 1 - 2^-{m_max} rounds to 1")
     if kind == "monomial":
         scaled = [_unit_monomial(m, p, g, order) for m in range(1, m_max + 1)]
     elif kind == "dilation":
-        w = truncated_log_witness(order)
-        scaled = [normalize(w.dilate(1.0 - 2.0 ** (-m)), p, g) for m in range(1, m_max + 1)]
+        scaled = [normalize(_member("dilation", m, order), p, g) for m in range(1, m_max + 1)]
     else:
         raise DomainError(f"unknown family kind {kind!r}")
     members, norms = zip(*scaled)
@@ -137,18 +159,12 @@ def default_test_family(
     p: BlochParams, g: SampleGrid, m_max: int = 32, order: int = DEFAULT_ORDER
 ) -> list[PowerSeries]:
     """Normalized monomials z^m, m <= m_max, plus the normalized truncation
-    of -log(1-z): the extremal witnesses of the counterexample regimes."""
+    of -log(1-z): the extremal witnesses of the counterexample regimes.
+    The unnormalized members are shared as in `null_family`."""
     m_max = check_integer("default_test_family", "m_max", m_max, 0)
+    order = check_integer("default_test_family", "order", order, 0)
     members = [_unit_monomial(m, p, g, order)[0] for m in range(1, m_max + 1)]
-    return members + [normalize(truncated_log_witness(order), p, g)[0]]
-
-
-def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
-    """Norm of the operator applied to the unit vector z^n / ||z^n||; tends
-    to 0 like 1/n, witnessing the approximate eigenvalue 0."""
-    n = check_integer("approximate_eigen_probe", "n", n, 1)
-    h_n, _ = _unit_monomial(n, p, g, DEFAULT_ORDER)
-    return seminorm_estimate(apply_generalized(h_n, s), p, g).value
+    return members + [normalize(_member("log", 0, order), p, g)[0]]
 
 
 def essential_norm_probe(

@@ -33,8 +33,8 @@ _MUL_BLOCK = 512
 class PowerSeries:
     """Truncated Taylor coefficients c_0..c_N of an analytic function.
 
-    `_seminorm` holds the last `seminorm_estimate` of the series as
-    (params, grid, estimate); one slot, so a series keeps at most one grid
+    `_seminorm` holds the `seminorm_estimate`s of the series on its last
+    grid as (grid, {params: estimate}), so a series keeps at most one grid
     alive.
     """
 

@@ -16,7 +16,6 @@ from betacesaro import (
     SymbolGBeta,
     apply_beta_cesaro,
     apply_generalized,
-    approximate_eigen_probe,
     bound_constant,
     counterexample_probe,
     default_probe_ts,
@@ -24,7 +23,6 @@ from betacesaro import (
     eigenfunction_psi,
     essential_norm_probe,
     growth_check,
-    one_minus_power_bound,
     operator_matrix,
     preimage_under_cesaro,
     seminorm_estimate,
@@ -34,6 +32,7 @@ from betacesaro import (
 from betacesaro.series import eval_on_points
 
 from .conftest import grid_points, random_poly
+from .references import approximate_eigen_probe, one_minus_power_bound
 
 
 def report(ok, name, detail):

@@ -575,6 +575,16 @@ def test_growth_check_reuses_the_estimate_with_the_same_verdict(monkeypatch, alp
         assert repr(getattr(v, name)) == repr(getattr(v_fresh, name))
 
 
+def test_series_keeps_one_estimate_per_alpha(monkeypatch, coarse_grid):
+    f = random_poly(np.random.default_rng(8), degree=16, pad=64)
+    calls = _counting_estimates(monkeypatch)
+    first = seminorm_estimate(f, BlochParams(0.5), coarse_grid)
+    seminorm_estimate(f, BlochParams(2.0), coarse_grid)
+    # another alpha no longer evicts the first one's estimate
+    assert seminorm_estimate(f, BlochParams(0.5), coarse_grid) is first
+    assert calls == [f, f]
+
+
 def test_estimate_with_another_alpha_misses(coarse_grid):
     f = random_poly(np.random.default_rng(5), degree=16, pad=64)
     est = seminorm_estimate(f, BlochParams(1.0), coarse_grid)
@@ -595,12 +605,14 @@ def test_estimate_on_an_equal_but_distinct_grid_misses(monkeypatch, coarse_grid)
 def test_series_keeps_only_its_last_grid(coarse_grid):
     f = random_poly(np.random.default_rng(7), degree=16, pad=64)
     grid_a = SampleGrid(coarse_grid.radii, coarse_grid.n_angles)
-    seminorm_estimate(f, BlochParams(1.0), grid_a)
+    grid_b = SampleGrid(coarse_grid.radii, coarse_grid.n_angles)
+    for alpha in (0.5, 2.0):
+        seminorm_estimate(f, BlochParams(alpha), grid_a)
     kept = weakref.ref(grid_a)
     del grid_a
     gc.collect()
-    assert kept() is not None  # f's kept estimate holds grid A
-    seminorm_estimate(f, BlochParams(1.0), coarse_grid)
+    assert kept() is not None  # f's kept estimates hold grid A
+    seminorm_estimate(f, BlochParams(1.0), grid_b)
     gc.collect()
     assert kept() is None
 

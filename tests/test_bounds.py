@@ -18,7 +18,6 @@ from betacesaro import (
     counterexample_probe,
     default_probe_ts,
     growth_bound,
-    one_minus_power_bound,
     point_spectrum,
     seminorm_estimate,
     apply_beta_cesaro,
@@ -27,6 +26,7 @@ from betacesaro import (
 from betacesaro.bounds import _PROFILES, REGIME_TOL, compare, least_squares
 
 from .conftest import random_poly
+from .references import one_minus_power_bound
 
 # ------------------------------------------------------------ bound_constant
 

@@ -10,7 +10,6 @@ from betacesaro import (
     PowerSeries,
     SymbolGBeta,
     apply_generalized,
-    approximate_eigen_probe,
     bound_constant,
     compact_approximant,
     compactness_probe,
@@ -21,8 +20,9 @@ from betacesaro import (
     truncated_log_witness,
 )
 from betacesaro.bloch import normalize
-from betacesaro.compactness import NULL_SUP_THRESHOLD, _half_disk_sup
-from betacesaro.series import DEFAULT_ORDER
+from betacesaro.compactness import MEMBER_CACHE_SIZE, NULL_SUP_THRESHOLD, _half_disk_sup, _member
+
+from .references import approximate_eigen_probe
 
 # ------------------------------------------------------------- null families
 
@@ -82,6 +82,7 @@ def test_dilation_family_stops_where_the_dilation_rounds_to_one(grid, monkeypatc
         raise AssertionError("built a member")
 
     monkeypatch.setattr("betacesaro.compactness.truncated_log_witness", must_not_run)
+    monkeypatch.setattr("betacesaro.compactness._member", must_not_run)
     with pytest.raises(DomainError, match="m_max <= 53"):
         null_family("dilation", 54, p, grid, order=64)
 
@@ -91,6 +92,48 @@ def test_null_family_rejects_bad_kind(grid):
         null_family("fourier", 4, BlochParams(1.0), grid)
     with pytest.raises(DomainError):
         null_family("monomial", 0, BlochParams(1.0), grid)
+
+
+def _families_and_probes(p, grid):
+    """Bytes and normalizations of every family the probes build at order
+    1024, and the to_dict of both probes, at params p."""
+    s = SymbolGBeta.beta_cesaro(0.5)
+    out = []
+    for kind in ("monomial", "dilation"):
+        fam = null_family(kind, 2, p, grid, order=1024)
+        out.append(([f.coeffs.tobytes() for f in fam.members], fam.normalization))
+        out.append(compactness_probe(s, p, fam, grid).to_dict())
+    test_fam = default_test_family(p, grid, m_max=1, order=1024)
+    out.append([f.coeffs.tobytes() for f in test_fam])
+    out.append(essential_norm_probe(s, p, [0.5, 0.99], test_fam, grid).to_dict())
+    return out
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_shared_members_give_the_bits_of_a_cold_build(warm, grid):
+    # the unnormalized members are shared across calls and across alpha,
+    # and each keeps one estimate per alpha; cycling alpha must give every
+    # family and probe the bits of a build from an empty member cache
+    alphas = (0.5, 2.0, 1.0, 0.5)
+    cold = {}
+    for alpha in alphas[:3]:
+        _member.cache_clear()
+        cold[alpha] = _families_and_probes(BlochParams(alpha), grid)
+    if not warm:
+        _member.cache_clear()
+    for alpha in alphas:
+        assert _families_and_probes(BlochParams(alpha), grid) == cold[alpha]
+    assert _member.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_member_cache_is_bounded(warm, grid):
+    if warm:
+        null_family("dilation", 8, BlochParams(1.0), grid, order=64)
+    else:
+        _member.cache_clear()
+    null_family("monomial", 40, BlochParams(1.0), grid, order=64)
+    assert _member.cache_info().currsize <= MEMBER_CACHE_SIZE
 
 
 # -------------------------------------------------------- compactness probe
@@ -285,8 +328,8 @@ def test_essnorm_rejects_empty_family(grid, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_unit_monomials_keep_their_bits(alpha, grid):
-    # the families and approximate_eigen_probe share one unit-monomial
-    # builder; each equals the expression it replaced bit for bit
+    # the families share one unit-monomial builder; each equals the
+    # expression it replaced bit for bit
     p = BlochParams(alpha)
 
     def unit(m, order):
@@ -301,9 +344,11 @@ def test_unit_monomials_keep_their_bits(alpha, grid):
         assert np.array_equal(f.coeffs, unit(m, 64)[0].coeffs)
     log_unit = normalize(truncated_log_witness(64), p, grid)[0]
     assert np.array_equal(test_fam[-1].coeffs, log_unit.coeffs)
+    # the acceptance reference builds its unit monomial by the same expression
     s = SymbolGBeta.beta_cesaro(0.5)
-    for n in (1, 4, 200):
-        want = seminorm_estimate(apply_generalized(unit(n, DEFAULT_ORDER)[0], s), p, grid).value
+    fam = null_family("monomial", 4, p, grid)
+    for n in (1, 4):
+        want = seminorm_estimate(apply_generalized(fam.members[n - 1], s), p, grid).value
         assert approximate_eigen_probe(s, n, p, grid) == want
 
 

@@ -9,14 +9,12 @@ from betacesaro import (
     DomainError,
     SampleGrid,
     SymbolGBeta,
-    approximate_eigen_probe,
     binomial_series,
     counterexample_probe,
     default_probe_ts,
     default_test_family,
     eigenfunction_psi,
     null_family,
-    one_minus_power_bound,
     operator_matrix,
     point_spectrum,
     symbol_series,
@@ -24,6 +22,8 @@ from betacesaro import (
 )
 from betacesaro.errors import check_integer
 from betacesaro.operators import symbol_spectrum
+
+from .references import approximate_eigen_probe, one_minus_power_bound
 
 SYMBOL = SymbolGBeta.beta_cesaro(1.0)
 PARAMS = BlochParams(1.0)
@@ -40,9 +40,11 @@ SITES = [
     ("eigenfunction_psi", "n", 1, lambda v: eigenfunction_psi(SYMBOL, v, 8)),
     ("eigenfunction_psi", "order", 1, lambda v: eigenfunction_psi(SYMBOL, 1, v)),
     ("null_family", "m_max", 1, lambda v: null_family("monomial", v, PARAMS, GRID, order=8)),
+    ("null_family", "order", 0, lambda v: null_family("dilation", 1, PARAMS, GRID, order=v)),
     ("approximate_eigen_probe", "n", 1, lambda v: approximate_eigen_probe(SYMBOL, v, PARAMS, GRID)),
     ("truncated_log_witness", "order", 0, lambda v: truncated_log_witness(v)),
     ("default_test_family", "m_max", 0, lambda v: default_test_family(PARAMS, GRID, m_max=v, order=8)),
+    ("default_test_family", "order", 0, lambda v: default_test_family(PARAMS, GRID, m_max=1, order=v)),
     ("one_minus_power_bound", "n", 1, lambda v: one_minus_power_bound(v)),
 ]
 

@@ -14,7 +14,6 @@ from betacesaro import (
     SymbolGBeta,
     apply_beta_cesaro,
     apply_generalized,
-    approximate_eigen_probe,
     compact_approximant,
     eigenfunction_psi,
     operator_matrix,
@@ -31,6 +30,7 @@ from betacesaro.operators import symbol_spectrum
 from betacesaro.series import eval_on_points
 
 from .conftest import binomial_loop, grid_points, random_poly
+from .references import approximate_eigen_probe
 
 
 def random_symbol(rng, n_terms=2, with_h=True, beta=None):
