@@ -31,10 +31,6 @@ DEFAULT_R_MAX = 0.999
 # powers (r^A)^q, 8 B per ring per block of A coefficients; they outgrow the
 # (rings x A) output only past 2A blocks, a long series on few angles:
 # 1025 rings at A = 1 and order 1024 take 8.4 MB, as much as the ring table.
-# The probe families share at most compactness.MEMBER_CACHE_SIZE = 8
-# unnormalized members, of order at most 2048 at the CLI caps, so at most
-# 8 x 16 x 2049 B = 262 KB of coefficients; each keeps its estimates on one
-# grid, which on every CLI path is the shared default grid.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 1024
 GRID_CACHE_SIZE = 4
@@ -45,6 +41,12 @@ TAIL_EXCLUSION = 1e-6
 
 # Absolute slack granted to the growth-bound comparison.
 GROWTH_SLACK = 1e-8
+
+# A series keeps its seminorm estimates for at most this many params on one
+# grid; a new params past it drops the kept ones, so a series that lives
+# long (a shared probe-family member) holds at most this many estimates
+# however many alpha a caller sweeps.
+MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -222,16 +224,20 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
 
     The estimate is kept on f, one per params for one grid object, and a
     call with equal params and the same grid object returns it without
-    evaluating again; an estimate on another grid object replaces them all,
-    so f keeps at most one grid alive.
+    evaluating again.  An estimate on another grid object replaces them
+    all, so f keeps at most one grid alive; one for a params past the
+    MEMO_SIZE kept ones drops those first, so f keeps at most MEMO_SIZE.
     """
     memo = f._seminorm
     if memo is None or memo[0] is not g:
         memo = (g, {})
         object.__setattr__(f, "_seminorm", memo)
-    est = memo[1].get(p)
+    kept = memo[1]
+    est = kept.get(p)
     if est is None:
-        est = memo[1][p] = _estimate(f, p, g)
+        if len(kept) >= MEMO_SIZE:
+            kept.clear()
+        est = kept[p] = _estimate(f, p, g)
     return est
 
 

@@ -29,8 +29,12 @@ NULL_SUP_THRESHOLD = 1e-3
 
 _HALF_DISK = SampleGrid(np.array([0.5]), 64)
 
-# Bound on the unnormalized family members `_member` shares across calls;
-# the memory they keep is counted with the grid tables in bloch.py.
+# Bound on the unnormalized family members `_member` shares across calls.
+# The CLI caps order and m_max at cli.MAX_ORDER, so a member there is of
+# order at most 2 * cli.MAX_ORDER and they keep at most MEMBER_CACHE_SIZE x
+# 16 B x (2 * cli.MAX_ORDER + 1) of coefficients; each keeps at most
+# bloch.MEMO_SIZE seminorm estimates on one grid, on every CLI path the
+# shared default grid.
 MEMBER_CACHE_SIZE = 8
 
 

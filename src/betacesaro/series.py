@@ -35,7 +35,7 @@ class PowerSeries:
 
     `_seminorm` holds the `seminorm_estimate`s of the series on its last
     grid as (grid, {params: estimate}), so a series keeps at most one grid
-    alive.
+    alive and at most `bloch.MEMO_SIZE` estimates.
     """
 
     coeffs: np.ndarray

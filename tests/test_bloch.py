@@ -585,6 +585,18 @@ def test_series_keeps_one_estimate_per_alpha(monkeypatch, coarse_grid):
     assert calls == [f, f]
 
 
+def test_series_keeps_at_most_memo_size_estimates(monkeypatch, coarse_grid):
+    f = random_poly(np.random.default_rng(9), degree=16, pad=64)
+    calls = _counting_estimates(monkeypatch)
+    alphas = [0.5 + 0.25 * k for k in range(bloch.MEMO_SIZE + 1)]
+    ests = [seminorm_estimate(f, BlochParams(a), coarse_grid) for a in alphas]
+    assert len(f._seminorm[1]) == 1  # the last alpha dropped the full memo
+    assert seminorm_estimate(f, BlochParams(alphas[-1]), coarse_grid) is ests[-1]
+    # a dropped alpha is estimated again, to the same value
+    assert seminorm_estimate(f, BlochParams(alphas[0]), coarse_grid) == ests[0]
+    assert len(calls) == len(alphas) + 1
+
+
 def test_estimate_with_another_alpha_misses(coarse_grid):
     f = random_poly(np.random.default_rng(5), degree=16, pad=64)
     est = seminorm_estimate(f, BlochParams(1.0), coarse_grid)

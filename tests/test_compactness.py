@@ -20,7 +20,14 @@ from betacesaro import (
     truncated_log_witness,
 )
 from betacesaro.bloch import normalize
-from betacesaro.compactness import MEMBER_CACHE_SIZE, NULL_SUP_THRESHOLD, _half_disk_sup, _member
+from betacesaro.compactness import (
+    MEMBER_CACHE_SIZE,
+    NULL_SUP_THRESHOLD,
+    _half_disk_sup,
+    _member,
+    _unit_monomial,
+)
+from betacesaro.series import DEFAULT_ORDER
 
 from .references import approximate_eigen_probe
 
@@ -81,7 +88,6 @@ def test_dilation_family_stops_where_the_dilation_rounds_to_one(grid, monkeypatc
     def must_not_run(*args, **kwargs):
         raise AssertionError("built a member")
 
-    monkeypatch.setattr("betacesaro.compactness.truncated_log_witness", must_not_run)
     monkeypatch.setattr("betacesaro.compactness._member", must_not_run)
     with pytest.raises(DomainError, match="m_max <= 53"):
         null_family("dilation", 54, p, grid, order=64)
@@ -344,11 +350,13 @@ def test_unit_monomials_keep_their_bits(alpha, grid):
         assert np.array_equal(f.coeffs, unit(m, 64)[0].coeffs)
     log_unit = normalize(truncated_log_witness(64), p, grid)[0]
     assert np.array_equal(test_fam[-1].coeffs, log_unit.coeffs)
-    # the acceptance reference builds its unit monomial by the same expression
+    # the acceptance reference builds its unit monomial by the same
+    # expression as the library's shared member, up to m = 200
     s = SymbolGBeta.beta_cesaro(0.5)
-    fam = null_family("monomial", 4, p, grid)
-    for n in (1, 4):
-        want = seminorm_estimate(apply_generalized(fam.members[n - 1], s), p, grid).value
+    for n in (1, 4, 200):
+        h_n = _unit_monomial(n, p, grid, DEFAULT_ORDER)[0]
+        assert np.array_equal(h_n.coeffs, unit(n, DEFAULT_ORDER)[0].coeffs)
+        want = seminorm_estimate(apply_generalized(h_n, s), p, grid).value
         assert approximate_eigen_probe(s, n, p, grid) == want
 
 
