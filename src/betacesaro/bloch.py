@@ -42,12 +42,6 @@ TAIL_EXCLUSION = 1e-6
 # Absolute slack granted to the growth-bound comparison.
 GROWTH_SLACK = 1e-8
 
-# A series keeps its seminorm estimates for at most this many params on one
-# grid; a new params past it drops the kept ones, so a series that lives
-# long (a shared probe-family member) holds at most this many estimates
-# however many alpha a caller sweeps.
-MEMO_SIZE = 4
-
 
 @dataclass(frozen=True)
 class BlochParams:
@@ -222,22 +216,15 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
     screening stops at the first ring that fails the bound right at the
     start of a pass.
 
-    The estimate is kept on f, one per params for one grid object, and a
-    call with equal params and the same grid object returns it without
-    evaluating again.  An estimate on another grid object replaces them
-    all, so f keeps at most one grid alive; one for a params past the
-    MEMO_SIZE kept ones drops those first, so f keeps at most MEMO_SIZE.
+    The last estimate is kept on f, and a call with equal params and the
+    same grid object returns it without evaluating again; any other call
+    replaces it, so f keeps one estimate and one grid alive.
     """
     memo = f._seminorm
-    if memo is None or memo[0] is not g:
-        memo = (g, {})
-        object.__setattr__(f, "_seminorm", memo)
-    kept = memo[1]
-    est = kept.get(p)
-    if est is None:
-        if len(kept) >= MEMO_SIZE:
-            kept.clear()
-        est = kept[p] = _estimate(f, p, g)
+    if memo is not None and memo[0] is g and memo[1] == p:
+        return memo[2]
+    est = _estimate(f, p, g)
+    object.__setattr__(f, "_seminorm", (g, p, est))
     return est
 
 
@@ -282,8 +269,12 @@ def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSerie
 
     An estimate of 0 (a constant f, or an order too low for any nonzero
     ring to pass the tail screen) cannot be scaled to 1 and is a DomainError.
+    The estimate is taken afresh, not through `seminorm_estimate`, and is
+    not kept on f: the probe families keep their scaled members themselves,
+    and so the `seminorm_estimate` calls the benchmark's tracer counts do
+    not depend on which members a process has already built.
     """
-    value = seminorm_estimate(f, p, g).value
+    value = _estimate(f, p, g).value
     if value == 0:
         raise DomainError("member has zero estimated seminorm at this order")
     return f.scale(1.0 / value), value

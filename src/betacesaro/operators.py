@@ -8,6 +8,7 @@ which is the core exactness guarantee of this module.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from .bounds import classify, compare
 from .errors import DomainError, SpectrumEmptyError, check_alpha, check_integer
 from .series import (
     DEFAULT_ORDER,
+    UNIT_TOL,
     PowerSeries,
     binomial_series,
     ps_derivative,
@@ -26,8 +28,6 @@ from .series import (
     ps_integrate,
     ps_mul,
 )
-
-_UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,17 @@ class SymbolGBeta:
 
     def __post_init__(self):
         terms = tuple((complex(a), complex(b)) for a, b in self.terms)
+        # a NaN would pass the comparisons below silently
+        if not math.isfinite(self.beta) or not all(cmath.isfinite(x) for t in terms for x in t):
+            raise DomainError("symbol weights a_j, points b_j and beta must be finite")
         for a, b in terms:
             if abs(a) == 0:
                 raise DomainError("symbol weights a_j must be nonzero")
-            if abs(abs(b) - 1.0) > _UNIT_TOL:
+            if abs(abs(b) - 1.0) > UNIT_TOL:
                 raise DomainError("symbol points b_j must be unimodular")
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
-                if abs(terms[i][1] - terms[j][1]) <= _UNIT_TOL:
+                if abs(terms[i][1] - terms[j][1]) <= UNIT_TOL:
                     raise DomainError("symbol points b_j must be pairwise distinct")
         object.__setattr__(self, "terms", terms)
 
@@ -80,7 +83,7 @@ class SymbolGBeta:
                     for a, b in self.terms
                 ],
                 "beta": self.beta,
-                "h": {"coeffs": [[c.real, c.imag] for c in self.h.coeffs]},
+                "h": self.h.to_dict(),
             }
         )
 
@@ -231,31 +234,30 @@ class SpectrumReport:
 
 def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
     """Predicted eigenvalue set of the operator, with the parameter-regime
-    conditions evaluated as verdicts rather than exceptions."""
+    conditions evaluated as verdicts rather than exceptions.
+
+    Covered are exactly the (alpha, beta) that `classify` calls bounded:
+    every beta < 1 with beta <= alpha, where each g(0)/n is an eigenvalue,
+    and beta = 1 < alpha, where the report checks the all-n condition
+    Re(a_j/g(0)) <= 0 per term.  Which n qualify when that fails is not
+    computed.
+    """
     check_alpha(alpha)
     g0 = s.value_at_zero()
     empty = _vanishes(g0)
-    beta = s.beta
-    # (covered, admissible, per_term, note) of the regime
+    covered = classify(alpha, s.beta).bounded
+    admissible, per_term = None, ()
     if empty:
-        regime = (True, None, (), "symbol vanishes at the origin: empty point spectrum")
-    elif compare(beta, 1.0) == 0 and compare(alpha, 1.0) >= 0:
-        per = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
+        note = "symbol vanishes at the origin: empty point spectrum"
+    elif not covered:
+        note = "unbounded operator: not covered"
+    elif compare(s.beta, 1.0) == 0:
+        per_term = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
+        admissible = all(ok for _, ok in per_term)
         note = "requires Re(a_j/g(0)) <= 0 for every term"
-        regime = (True, all(ok for _, ok in per), per, note)
-    elif compare(beta, 1.0) == 0:
-        regime = (False, None, (), "beta = 1 with alpha < 1: not covered")
-    elif compare(beta, 0.0) == 0:
-        regime = (True, True, (), "unconditional")
-    elif compare(beta, 0.0) > 0 and compare(beta, 1.0) < 0:
-        if classify(alpha, beta).bounded:
-            note = "unconditional; certified for beta < m/(m+1) for every m, i.e. beta < 1"
-            regime = (True, True, (), note)
-        else:
-            regime = (False, None, (), "0 < beta < 1 with beta > alpha < 1: not covered")
     else:
-        regime = (False, None, (), "parameter combination not covered")
-    covered, admissible, per_term, note = regime
+        admissible = True
+        note = "unconditional for beta < 1"
     return SpectrumReport(
         base=0j if empty else g0,
         leading=() if empty else tuple(g0 / n for n in range(1, 17)),

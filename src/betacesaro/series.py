@@ -17,6 +17,10 @@ from .errors import DomainError, check_integer
 
 DEFAULT_ORDER = 256
 
+# Slack of every unimodularity test: |b| <= 1 + UNIT_TOL in `binomial_series`,
+# and the |b_j| = 1 and distinct-points checks of a symbol.
+UNIT_TOL = 1e-12
+
 # Window of trailing coefficients used for the geometric tail majorant.
 _TAIL_WINDOW = 16
 
@@ -33,9 +37,9 @@ _MUL_BLOCK = 512
 class PowerSeries:
     """Truncated Taylor coefficients c_0..c_N of an analytic function.
 
-    `_seminorm` holds the `seminorm_estimate`s of the series on its last
-    grid as (grid, {params: estimate}), so a series keeps at most one grid
-    alive and at most `bloch.MEMO_SIZE` estimates.
+    `_seminorm` holds the last `seminorm_estimate` of the series as
+    (grid, params, estimate); one slot, so a series keeps at most one grid
+    alive.
     """
 
     coeffs: np.ndarray
@@ -144,7 +148,7 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
     result is value-equal to the loop, and the bits differ only in the sign
     of exact zeros, which are all +0 here.
     """
-    if abs(b) > 1 + 1e-12:
+    if abs(b) > 1 + UNIT_TOL:
         raise DomainError("binomial_series requires |b| <= 1")
     order = check_integer("binomial_series", "order", order, 0)
     n = np.arange(order)

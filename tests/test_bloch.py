@@ -575,26 +575,16 @@ def test_growth_check_reuses_the_estimate_with_the_same_verdict(monkeypatch, alp
         assert repr(getattr(v, name)) == repr(getattr(v_fresh, name))
 
 
-def test_series_keeps_one_estimate_per_alpha(monkeypatch, coarse_grid):
+def test_series_keeps_only_its_last_estimate(monkeypatch, coarse_grid):
     f = random_poly(np.random.default_rng(8), degree=16, pad=64)
     calls = _counting_estimates(monkeypatch)
     first = seminorm_estimate(f, BlochParams(0.5), coarse_grid)
-    seminorm_estimate(f, BlochParams(2.0), coarse_grid)
-    # another alpha no longer evicts the first one's estimate
-    assert seminorm_estimate(f, BlochParams(0.5), coarse_grid) is first
-    assert calls == [f, f]
-
-
-def test_series_keeps_at_most_memo_size_estimates(monkeypatch, coarse_grid):
-    f = random_poly(np.random.default_rng(9), degree=16, pad=64)
-    calls = _counting_estimates(monkeypatch)
-    alphas = [0.5 + 0.25 * k for k in range(bloch.MEMO_SIZE + 1)]
-    ests = [seminorm_estimate(f, BlochParams(a), coarse_grid) for a in alphas]
-    assert len(f._seminorm[1]) == 1  # the last alpha dropped the full memo
-    assert seminorm_estimate(f, BlochParams(alphas[-1]), coarse_grid) is ests[-1]
-    # a dropped alpha is estimated again, to the same value
-    assert seminorm_estimate(f, BlochParams(alphas[0]), coarse_grid) == ests[0]
-    assert len(calls) == len(alphas) + 1
+    last = seminorm_estimate(f, BlochParams(2.0), coarse_grid)
+    assert f._seminorm[1:] == (BlochParams(2.0), last)
+    # one slot: the first alpha's estimate was replaced, and is taken again
+    again = seminorm_estimate(f, BlochParams(0.5), coarse_grid)
+    assert again is not first and again == first
+    assert calls == [f, f, f]
 
 
 def test_estimate_with_another_alpha_misses(coarse_grid):

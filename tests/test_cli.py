@@ -224,6 +224,9 @@ INPUT_FILES = {
     "non-utf8.json": b"[0, 1\xff]",
     "no-coeffs.json": b'{"coefs": [0, 1]}',
     "g0.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0, "h": {"coeffs": [[-1, 0]]}}',
+    # Python's json reads NaN and Infinity
+    "nan-angle.json": b'{"terms": [{"a": [1, 0], "b_angle": NaN}], "beta": 0.5}',
+    "nan-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": NaN}',
 }
 
 
@@ -252,6 +255,8 @@ INPUT_FILES = {
         (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
         (["counterexample", "--alpha", "-1", "--beta", "2", "--which", "Ex26"], "error:"),
         (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
+        (["spectrum", "--N", "3", "--symbol", "nan-angle.json"], "error:"),
+        (["spectrum", "--N", "3", "--symbol", "nan-beta.json"], "error:"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):

@@ -24,8 +24,7 @@ from betacesaro.compactness import (
     MEMBER_CACHE_SIZE,
     NULL_SUP_THRESHOLD,
     _half_disk_sup,
-    _member,
-    _unit_monomial,
+    _unit_member,
 )
 from betacesaro.series import DEFAULT_ORDER
 
@@ -88,7 +87,7 @@ def test_dilation_family_stops_where_the_dilation_rounds_to_one(grid, monkeypatc
     def must_not_run(*args, **kwargs):
         raise AssertionError("built a member")
 
-    monkeypatch.setattr("betacesaro.compactness._member", must_not_run)
+    monkeypatch.setattr("betacesaro.compactness._unit_member", must_not_run)
     with pytest.raises(DomainError, match="m_max <= 53"):
         null_family("dilation", 54, p, grid, order=64)
 
@@ -117,19 +116,19 @@ def _families_and_probes(p, grid):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_shared_members_give_the_bits_of_a_cold_build(warm, grid):
-    # the unnormalized members are shared across calls and across alpha,
-    # and each keeps one estimate per alpha; cycling alpha must give every
-    # family and probe the bits of a build from an empty member cache
+    # the normalized members are shared across calls, one per alpha; cycling
+    # alpha must give every family and probe the bits of a build from an
+    # empty member cache
     alphas = (0.5, 2.0, 1.0, 0.5)
     cold = {}
     for alpha in alphas[:3]:
-        _member.cache_clear()
+        _unit_member.cache_clear()
         cold[alpha] = _families_and_probes(BlochParams(alpha), grid)
     if not warm:
-        _member.cache_clear()
+        _unit_member.cache_clear()
     for alpha in alphas:
         assert _families_and_probes(BlochParams(alpha), grid) == cold[alpha]
-    assert _member.cache_info().hits > 0
+    assert _unit_member.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -137,9 +136,21 @@ def test_member_cache_is_bounded(warm, grid):
     if warm:
         null_family("dilation", 8, BlochParams(1.0), grid, order=64)
     else:
-        _member.cache_clear()
+        _unit_member.cache_clear()
     null_family("monomial", 40, BlochParams(1.0), grid, order=64)
-    assert _member.cache_info().currsize <= MEMBER_CACHE_SIZE
+    assert _unit_member.cache_info().currsize <= MEMBER_CACHE_SIZE
+
+
+def test_member_cache_holds_the_probe_benchmark_traffic(grid):
+    # the families of the probes_n1024 benchmark: 15 members, built once
+    _unit_member.cache_clear()
+    for _ in range(2):
+        for alpha in (0.5, 1.0, 2.0):
+            p = BlochParams(alpha)
+            null_family("monomial", 2, p, grid, order=1024)
+            null_family("dilation", 2, p, grid, order=1024)
+            default_test_family(p, grid, m_max=1, order=1024)
+    assert _unit_member.cache_info().misses == 15 <= MEMBER_CACHE_SIZE
 
 
 # -------------------------------------------------------- compactness probe
@@ -334,7 +345,7 @@ def test_essnorm_rejects_empty_family(grid, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_unit_monomials_keep_their_bits(alpha, grid):
-    # the families share one unit-monomial builder; each equals the
+    # the families share one member builder; each unit monomial equals the
     # expression it replaced bit for bit
     p = BlochParams(alpha)
 
@@ -354,7 +365,7 @@ def test_unit_monomials_keep_their_bits(alpha, grid):
     # expression as the library's shared member, up to m = 200
     s = SymbolGBeta.beta_cesaro(0.5)
     for n in (1, 4, 200):
-        h_n = _unit_monomial(n, p, grid, DEFAULT_ORDER)[0]
+        h_n = _unit_member("monomial", n, DEFAULT_ORDER, p, grid)[0]
         assert np.array_equal(h_n.coeffs, unit(n, DEFAULT_ORDER)[0].coeffs)
         want = seminorm_estimate(apply_generalized(h_n, s), p, grid).value
         assert approximate_eigen_probe(s, n, p, grid) == want

@@ -14,6 +14,7 @@ from betacesaro import (
     SymbolGBeta,
     apply_beta_cesaro,
     apply_generalized,
+    classify,
     compact_approximant,
     eigenfunction_psi,
     operator_matrix,
@@ -61,6 +62,30 @@ def test_symbol_rejects_non_unimodular():
 def test_symbol_rejects_duplicate_points():
     with pytest.raises(DomainError):
         SymbolGBeta(terms=((1.0, 1.0), (2.0, 1.0)), beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "terms, beta",
+    [
+        (((math.inf, 1.0),), 1.0),
+        (((complex(1.0, math.nan), 1.0),), 1.0),
+        (((1.0, complex(math.nan, math.nan)),), 1.0),
+        (((1.0, 1.0),), math.nan),
+        (((1.0, 1.0),), -math.inf),
+    ],
+    ids=["inf-weight", "nan-weight", "nan-point", "nan-beta", "inf-beta"],
+)
+def test_symbol_rejects_non_finite(terms, beta):
+    with pytest.raises(DomainError, match="must be finite"):
+        SymbolGBeta(terms=terms, beta=beta)
+
+
+def test_symbol_json_text_is_pinned():
+    s = SymbolGBeta(terms=((1 + 2j, -1.0),), beta=0.5, h=PowerSeries([0.25, -1j, 1 / 3 + 2.5e10j]))
+    assert s.to_json() == (
+        '{"terms": [{"a": [1.0, 2.0], "b_angle": 3.141592653589793}], "beta": 0.5, '
+        '"h": {"coeffs": [[0.25, 0.0], [-0.0, -1.0], [0.3333333333333333, 25000000000.0]]}}'
+    )
 
 
 def test_symbol_json_roundtrip():
@@ -513,6 +538,19 @@ def test_point_spectrum_uncovered_regime():
 def test_point_spectrum_coverage_follows_classify():
     # beta = 0.1 + 0.2 equals alpha = 0.3 up to REGIME_TOL: bounded, so covered
     assert point_spectrum(SymbolGBeta.beta_cesaro(0.1 + 0.2), alpha=0.3).covered
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0, 1.5, 2.5, "alpha"])
+def test_point_spectrum_coverage_is_boundedness(alpha, beta):
+    # e.g. (2, -1) is bounded and covered; (1, 1) is unbounded, with no
+    # verdict, per term or overall
+    beta = alpha if beta == "alpha" else beta
+    rep = point_spectrum(SymbolGBeta.beta_cesaro(beta), alpha)
+    covered = classify(alpha, beta).bounded
+    assert rep.covered is covered
+    assert (rep.admissible is None) is not covered
+    assert bool(rep.per_term) is (covered and beta == 1.0)
 
 
 def test_point_spectrum_json():
