@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_alpha, check_integer
+from .errors import DomainError, check_integer, check_real
 from .bounds import compare
 from .series import PowerSeries, ps_derivative, tail_estimate
 
@@ -50,7 +50,7 @@ class BlochParams:
     alpha: float
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        check_real("BlochParams", "alpha", self.alpha, 0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ class SampleGrid:
 
     def weights(self, alpha: float) -> np.ndarray:
         """(1 - r^2)^alpha per radius."""
-        check_alpha(alpha)
+        check_real("SampleGrid.weights", "alpha", alpha, 0)
         return (1.0 - self.radii**2) ** alpha
 
 
@@ -112,11 +112,10 @@ def default_grid(
     counts above MAX_N_RADIAL / MAX_N_ANGULAR are rejected before any array
     is allocated.
     """
-    if not 0 < r_max < 1:
-        raise DomainError("r_max must lie in (0, 1)")
+    r_max = check_real("default_grid", "r_max", r_max, 0, 1)
     n_radial = check_integer("default_grid", "n_radial", n_radial, 1, MAX_N_RADIAL)
     n_angular = check_integer("default_grid", "n_angular", n_angular, 1, MAX_N_ANGULAR)
-    return _shared_grid(n_radial, n_angular, float(r_max))
+    return _shared_grid(n_radial, n_angular, r_max)
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_alpha
+from .errors import DomainError, check_real
 
 # Least-squares divergence exponents above this threshold count as divergent.
 DIVERGENCE_THRESHOLD = 0.05
@@ -120,7 +120,7 @@ class Classification:
 def classify(alpha: float, beta: float) -> Classification:
     """Total, deterministic decision table on alpha > 0, beta real; equality
     with a boundary means equality up to REGIME_TOL."""
-    check_alpha(alpha)
+    check_real("classify", "alpha", alpha, 0)
     beta_vs_alpha = compare(beta, alpha)
     alpha_vs_1 = compare(alpha, 1.0)
     if beta_vs_alpha > 0:
@@ -206,12 +206,10 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
     Ex27 (beta >= alpha >= 1):  same times |log(1-t)| / t
     Ex28 (beta > 1):            (1+t)^(alpha+1) / (1-t)^(beta-1)
     """
-    check_alpha(alpha)
+    check_real("counterexample_probe", "alpha", alpha, 0)
     if which not in _EXAMPLE_TAGS:
         raise DomainError(f"unknown probe {which!r}")
-    ts = sorted(float(t) for t in t_list)
-    if not ts or ts[0] <= 0 or ts[-1] >= 1:
-        raise DomainError("t_list must lie in (0, 1)")
+    ts = sorted(check_real("counterexample_probe", "t", t, 0, 1) for t in t_list)
 
     if which == "Ex26":
         if compare(beta, alpha) <= 0:
@@ -253,8 +251,7 @@ def default_probe_ts(t_max: float = 0.9999) -> list[float]:
     (1+t)-factors of the probe quantities are effectively constant and do
     not bias the fitted exponent.
     """
-    if not 0 < t_max < 1:
-        raise DomainError("t_max must lie in (0, 1)")
+    check_real("default_probe_ts", "t_max", t_max, 0, 1)
     lmax = -math.log1p(-t_max)
     lmin = min(-math.log1p(-0.9), 0.5 * lmax)
     n = 12

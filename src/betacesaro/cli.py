@@ -124,7 +124,7 @@ def _series_from_args(args) -> PowerSeries:
         raise _UsageError("missing series input --f or --f-file")
     try:
         data = json.loads(Path(args.f_file).read_text("utf-8") if args.f_file else args.f)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, bad JSON, too many digits
         raise DomainError(f"malformed series: {exc}") from None
     if args.f_file and isinstance(data, dict):
         data = data.get("coeffs")  # a series file may be {"coeffs": [...]}

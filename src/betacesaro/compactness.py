@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
 from .bounds import ProbeReport, least_squares
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .operators import SymbolGBeta, apply_generalized
 from .series import DEFAULT_ORDER, PowerSeries
 
@@ -182,9 +182,9 @@ def essential_norm_probe(
     near-subnormal tail of f_d in the operand to slow the product inside C.
     Decay toward 0 with the dilation is the essential-norm-zero signature.
     """
-    ds = list(dilations)
-    if any(not 0 < d < 1 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
-        raise DomainError("dilations must be increasing in (0, 1)")
+    ds = [check_real("essential_norm_probe", "dilation", d, 0, 1) for d in dilations]
+    if any(b <= a for a, b in zip(ds, ds[1:])):
+        raise DomainError("essential_norm_probe requires increasing dilations")
     if not test_family:
         raise DomainError("essential_norm_probe requires a nonempty test family")
     values, labels = [], []

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks of its integer
-and alpha arguments."""
+and real arguments."""
 
+import math
 import numbers
 
 
@@ -26,8 +27,17 @@ def check_integer(where: str, name: str, value, low: int, high: int | None = Non
     return int(value)
 
 
-def check_alpha(alpha: float) -> None:
-    """Reject an alpha, the exponent of the weight (1-|z|^2)^alpha, that is
-    not positive; nan is not."""
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+def check_real(where: str, name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a float, finite and in the open interval (low, high); a bool
+    or a string is not a real, and an int too large for a float is infinite."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{where} requires a finite real {name}, got {value!r}")
+    if not x > low:
+        raise DomainError(f"{where} requires {name} > {low}, got {value}")
+    if not x < high:
+        raise DomainError(f"{where} requires {name} < {high}, got {value}")
+    return x

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import classify, compare
-from .errors import DomainError, SpectrumEmptyError, check_alpha, check_integer
+from .errors import DomainError, SpectrumEmptyError, check_integer, check_real
 from .series import (
     DEFAULT_ORDER,
     UNIT_TOL,
     PowerSeries,
+    _coefficient,
     binomial_series,
     ps_derivative,
     ps_div_by_z,
@@ -45,10 +46,11 @@ class SymbolGBeta:
     _gamma: PowerSeries | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_real("SymbolGBeta", "beta", self.beta)
         terms = tuple((complex(a), complex(b)) for a, b in self.terms)
         # a NaN would pass the comparisons below silently
-        if not math.isfinite(self.beta) or not all(cmath.isfinite(x) for t in terms for x in t):
-            raise DomainError("symbol weights a_j, points b_j and beta must be finite")
+        if not all(cmath.isfinite(x) for t in terms for x in t):
+            raise DomainError("symbol weights a_j and points b_j must be finite")
         for a, b in terms:
             if abs(a) == 0:
                 raise DomainError("symbol weights a_j must be nonzero")
@@ -90,17 +92,17 @@ class SymbolGBeta:
     @staticmethod
     def from_json(text: str) -> "SymbolGBeta":
         """Parse the format written by to_json; any other shape is a DomainError."""
+        where = "SymbolGBeta.from_json"
         try:
             data = json.loads(text)
-            terms = tuple(
-                (complex(t["a"][0], t["a"][1]), complex(math.cos(t["b_angle"]), math.sin(t["b_angle"])))
-                for t in data["terms"]
-            )
-            beta, h = float(data["beta"]), data.get("h", {}).get("coeffs", [0.0])
-        except (TypeError, ValueError, LookupError, AttributeError, OverflowError,
-                RecursionError) as exc:
+            pairs = [(t["a"], t["b_angle"]) for t in data["terms"]]
+            beta, h = data["beta"], data.get("h", {}).get("coeffs", [0.0])
+        except (TypeError, ValueError, LookupError, AttributeError, RecursionError) as exc:
             raise DomainError(f"malformed symbol file: {exc!r}") from None
-        return SymbolGBeta(terms=terms, beta=beta, h=PowerSeries.from_pairs(h))
+        terms = tuple(
+            (_coefficient(a, where, "a"), cmath.rect(1, check_real(where, "b_angle", b))) for a, b in pairs
+        )
+        return SymbolGBeta(terms=terms, beta=check_real(where, "beta", beta), h=PowerSeries.from_pairs(h))
 
 
 def symbol_series(s: SymbolGBeta, order: int) -> PowerSeries:
@@ -242,7 +244,7 @@ def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
     Re(a_j/g(0)) <= 0 per term.  Which n qualify when that fails is not
     computed.
     """
-    check_alpha(alpha)
+    check_real("point_spectrum", "alpha", alpha, 0)
     g0 = s.value_at_zero()
     empty = _vanishes(g0)
     covered = classify(alpha, s.beta).bounded
@@ -268,8 +270,7 @@ def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
 def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> PowerSeries:
     """Dilate f by the given factor, then apply the operator; the dilated
     operator is compact for every dilation < 1."""
-    if not 0 < dilation < 1:
-        raise DomainError("dilation must lie in (0, 1)")
+    check_real("compact_approximant", "dilation", dilation, 0, 1)
     return apply_generalized(f.dilate(dilation), s)
 
 

@@ -8,12 +8,11 @@ basis, so truncation commutes with them).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 
 DEFAULT_ORDER = 256
 
@@ -121,19 +120,12 @@ class PowerSeries:
         return PowerSeries(np.array([_coefficient(p) for p in pairs], dtype=np.complex128))
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _coefficient(p) -> complex:
-    try:
-        if _is_real(p):
-            return complex(p)
-        if isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_real, p)):
-            return complex(p[0], p[1])
-    except OverflowError:
-        raise DomainError("coefficient too large for a float") from None
-    raise DomainError(f"coefficient {p!r} is neither a real number nor a pair of reals")
+def _coefficient(p, where: str = "PowerSeries.from_pairs", name: str = "coefficient") -> complex:
+    """A real, or an [re, im] pair of reals, as a complex; anything else is a
+    DomainError."""
+    if isinstance(p, (list, tuple)) and len(p) == 2:
+        return complex(check_real(where, name, p[0]), check_real(where, name, p[1]))
+    return complex(check_real(where, name, p))
 
 
 def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:

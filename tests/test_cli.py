@@ -227,7 +227,18 @@ INPUT_FILES = {
     # Python's json reads NaN and Infinity
     "nan-angle.json": b'{"terms": [{"a": [1, 0], "b_angle": NaN}], "beta": 0.5}',
     "nan-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": NaN}',
+    # beyond Python's 4300-digit limit, json.loads raises a plain ValueError
+    "5000-digits.json": b"[0, 1" + b"0" * 5000 + b"]",
+    # every number in a symbol file is a JSON number, checked by the real rule
+    "string-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": "0.5"}',
+    "bool-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": true}',
+    "bool-weight.json": b'{"terms": [{"a": [true, 0], "b_angle": 0}], "beta": 0.5}',
+    "string-angle.json": b'{"terms": [{"a": [1, 0], "b_angle": "0"}], "beta": 0.5}',
+    "400-digit-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 1' + b"0" * 400 + b"}",
 }
+
+# the message of a symbol-file number, not wrapped as `malformed symbol file`
+SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
 
 
 @pytest.mark.parametrize(
@@ -257,6 +268,13 @@ INPUT_FILES = {
         (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
         (["spectrum", "--N", "3", "--symbol", "nan-angle.json"], "error:"),
         (["spectrum", "--N", "3", "--symbol", "nan-beta.json"], "error:"),
+        (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 5000 + "]"], "error:"),
+        (["apply", "--beta", "0", "--f-file", "5000-digits.json"], "error:"),
+        (["spectrum", "--N", "2", "--symbol", "string-beta.json"], f"{SYMBOL_NUMBER} beta, got '0.5'"),
+        (["spectrum", "--N", "2", "--symbol", "bool-beta.json"], f"{SYMBOL_NUMBER} beta, got True"),
+        (["spectrum", "--N", "2", "--symbol", "bool-weight.json"], f"{SYMBOL_NUMBER} a, got True"),
+        (["spectrum", "--N", "2", "--symbol", "string-angle.json"], f"{SYMBOL_NUMBER} b_angle, got '0'"),
+        (["spectrum", "--N", "2", "--symbol", "400-digit-beta.json"], f"{SYMBOL_NUMBER} beta, got 10000"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):

@@ -1,4 +1,6 @@
-"""The one rule for integer arguments and the one rule for alpha."""
+"""The one rule for integer arguments and the one rule for real arguments."""
+import json
+import math
 import re
 
 import numpy as np
@@ -7,20 +9,25 @@ import pytest
 from betacesaro import (
     BlochParams,
     DomainError,
+    PowerSeries,
     SampleGrid,
     SymbolGBeta,
     binomial_series,
+    classify,
+    compact_approximant,
     counterexample_probe,
+    default_grid,
     default_probe_ts,
     default_test_family,
     eigenfunction_psi,
+    essential_norm_probe,
     null_family,
     operator_matrix,
     point_spectrum,
     symbol_series,
     truncated_log_witness,
 )
-from betacesaro.errors import check_integer
+from betacesaro.errors import check_integer, check_real
 from betacesaro.operators import symbol_spectrum
 
 from .references import approximate_eigen_probe, one_minus_power_bound
@@ -71,19 +78,83 @@ def test_check_integer_returns_a_python_int_in_range():
         check_integer("f", "n", np.int64(4), 1, 3)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda a: counterexample_probe(a, 2.0, "Ex26", default_probe_ts()),
-        lambda a: counterexample_probe(a, 2.0, "Ex28", default_probe_ts()),
-        lambda a: point_spectrum(SYMBOL, a),
-        lambda a: GRID.weights(a),
-    ],
-    ids=["counterexample_probe-Ex26", "counterexample_probe-Ex28", "point_spectrum", "SampleGrid.weights"],
-)
-def test_alpha_must_be_positive_at_every_site(call, alpha):
-    # counterexample_probe used to fit a `diverges` verdict at alpha = -1,
-    # and SampleGrid.weights returned all ones at alpha = 0
-    with pytest.raises(DomainError, match="^alpha must be positive$"):
-        call(alpha)
+def _symbol_file(beta=0.5, a=(1, 0), b_angle=0):
+    return json.dumps({"terms": [{"a": a, "b_angle": b_angle}], "beta": beta})
+
+
+TS = default_probe_ts()
+
+# (id, where, name, low, high, call): call(value) passes value as that
+# argument.  test_bloch and test_series check the arrays: SampleGrid's
+# radii and a PowerSeries' coefficients.
+INF = math.inf
+REAL_SITES = [
+    ("BlochParams", "BlochParams", "alpha", 0, INF, lambda v: BlochParams(v)),
+    ("weights", "SampleGrid.weights", "alpha", 0, INF, lambda v: GRID.weights(v)),
+    ("classify", "classify", "alpha", 0, INF, lambda v: classify(v, 1.0)),
+    ("Ex26-alpha", "counterexample_probe", "alpha", 0, INF,
+     lambda v: counterexample_probe(v, 2.0, "Ex26", TS)),
+    ("Ex28-alpha", "counterexample_probe", "alpha", 0, INF,
+     lambda v: counterexample_probe(v, 2.0, "Ex28", TS)),
+    ("point_spectrum", "point_spectrum", "alpha", 0, INF, lambda v: point_spectrum(SYMBOL, v)),
+    ("r_max", "default_grid", "r_max", 0, 1, lambda v: default_grid(8, 16, v)),
+    ("t_max", "default_probe_ts", "t_max", 0, 1, lambda v: default_probe_ts(v)),
+    ("Ex26-t", "counterexample_probe", "t", 0, 1,
+     lambda v: counterexample_probe(1.0, 2.0, "Ex26", [0.5, v, 0.9])),
+    ("essnorm-dilation", "essential_norm_probe", "dilation", 0, 1,
+     lambda v: essential_norm_probe(SYMBOL, PARAMS, [v], [PowerSeries.monomial(1)], GRID)),
+    ("approximant-dilation", "compact_approximant", "dilation", 0, 1,
+     lambda v: compact_approximant(PowerSeries.monomial(1), SYMBOL, v)),
+    ("symbol-beta", "SymbolGBeta", "beta", -INF, INF, lambda v: SymbolGBeta(terms=((1.0, 1.0),), beta=v)),
+    ("file-beta", "SymbolGBeta.from_json", "beta", -INF, INF,
+     lambda v: SymbolGBeta.from_json(_symbol_file(beta=v))),
+    ("file-b_angle", "SymbolGBeta.from_json", "b_angle", -INF, INF,
+     lambda v: SymbolGBeta.from_json(_symbol_file(b_angle=v))),
+    ("file-a", "SymbolGBeta.from_json", "a", -INF, INF, lambda v: SymbolGBeta.from_json(_symbol_file(a=v))),
+    ("file-a-pair", "SymbolGBeta.from_json", "a", -INF, INF,
+     lambda v: SymbolGBeta.from_json(_symbol_file(a=[1, v]))),
+    ("coefficient", "PowerSeries.from_pairs", "coefficient", -INF, INF,
+     lambda v: PowerSeries.from_pairs([0, v])),
+    ("coefficient-pair", "PowerSeries.from_pairs", "coefficient", -INF, INF,
+     lambda v: PowerSeries.from_pairs([[v, 0]])),
+]
+
+
+def _real_cases():
+    for site, where, name, low, high, call in REAL_SITES:
+        cases = {
+            "string": ("0.5", f"a finite real {name}, got '0.5'"),
+            "bool": (True, f"a finite real {name}, got True"),
+            "nan": (math.nan, f"a finite real {name}, got nan"),
+            "inf": (math.inf, f"a finite real {name}, got inf"),
+            "-inf": (-math.inf, f"a finite real {name}, got -inf"),
+            # float(10**400) overflows: an int too large for a float is infinite
+            "huge-int": (10**400, f"a finite real {name}, got {10**400}"),
+        }
+        if low > -INF:
+            cases["at-low"] = (float(low), f"{name} > {low}, got {float(low)}")
+            cases["below"] = (low - 1.0, f"{name} > {low}, got {low - 1.0}")
+        if high < INF:
+            cases["at-high"] = (float(high), f"{name} < {high}, got {float(high)}")
+            cases["above"] = (high + 1.0, f"{name} < {high}, got {high + 1.0}")
+        for bad, (value, message) in cases.items():
+            yield pytest.param(call, value, f"{where} requires {message}", id=f"{site}-{bad}")
+
+
+@pytest.mark.parametrize("call, value, message", _real_cases())
+def test_every_real_argument_is_checked_by_one_rule(call, value, message):
+    # alpha = inf was accepted (BlochParams, classify), an alpha <= 0 gave
+    # counterexample_probe a `diverges` fit and SampleGrid.weights all ones,
+    # a string t was read as a float, a string radius, dilation or beta
+    # ended in a bare TypeError, and a symbol file took strings and booleans
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_check_real_returns_a_float_and_keeps_its_bits():
+    for value in (np.float64(0.1), 3, 2**60 + 1, 1e-300):
+        x = check_real("f", "x", value, 0)
+        assert type(x) is float and x == float(value)
+    # the dataclasses store what they were given
+    assert type(BlochParams(2).alpha) is int
+    assert type(SymbolGBeta.beta_cesaro(np.float64(0.5)).beta) is np.float64

@@ -65,18 +65,18 @@ def test_symbol_rejects_duplicate_points():
 
 
 @pytest.mark.parametrize(
-    "terms, beta",
+    "terms, beta, message",
     [
-        (((math.inf, 1.0),), 1.0),
-        (((complex(1.0, math.nan), 1.0),), 1.0),
-        (((1.0, complex(math.nan, math.nan)),), 1.0),
-        (((1.0, 1.0),), math.nan),
-        (((1.0, 1.0),), -math.inf),
+        (((math.inf, 1.0),), 1.0, "must be finite"),
+        (((complex(1.0, math.nan), 1.0),), 1.0, "must be finite"),
+        (((1.0, complex(math.nan, math.nan)),), 1.0, "must be finite"),
+        (((1.0, 1.0),), math.nan, "^SymbolGBeta requires a finite real beta, got nan$"),
+        (((1.0, 1.0),), -math.inf, "^SymbolGBeta requires a finite real beta, got -inf$"),
     ],
     ids=["inf-weight", "nan-weight", "nan-point", "nan-beta", "inf-beta"],
 )
-def test_symbol_rejects_non_finite(terms, beta):
-    with pytest.raises(DomainError, match="must be finite"):
+def test_symbol_rejects_non_finite(terms, beta, message):
+    with pytest.raises(DomainError, match=message):
         SymbolGBeta(terms=terms, beta=beta)
 
 
