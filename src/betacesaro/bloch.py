@@ -72,7 +72,10 @@ class SampleGrid:
     n_angles: int
 
     def __post_init__(self):
-        r = np.array(self.radii, dtype=float)
+        r = np.asarray(self.radii)
+        if r.dtype.kind not in "iuf":
+            raise DomainError(f"SampleGrid requires real radii, got dtype {r.dtype}")
+        r = r.astype(float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("radii must be a nonempty vector")
         if not np.all(np.isfinite(r)):

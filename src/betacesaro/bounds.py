@@ -121,6 +121,7 @@ def classify(alpha: float, beta: float) -> Classification:
     """Total, deterministic decision table on alpha > 0, beta real; equality
     with a boundary means equality up to REGIME_TOL."""
     check_real("classify", "alpha", alpha, 0)
+    check_real("classify", "beta", beta)
     beta_vs_alpha = compare(beta, alpha)
     alpha_vs_1 = compare(alpha, 1.0)
     if beta_vs_alpha > 0:
@@ -195,37 +196,31 @@ def least_squares(columns, y) -> tuple[float, ...] | None:
     return tuple(c / det for c in coefs) if det > n * math.ulp(1.0) * scale else None
 
 
-_EXAMPLE_TAGS = ("Ex26", "Ex27", "Ex28")
+# The paper's counterexample witnesses, sampled along z = t in (0, 1):
+# tag -> (requirement, meets(alpha, beta), quantity(alpha, beta, t)).
+WITNESSES = {
+    "Ex26": ("beta > alpha", lambda a, b: compare(b, a) > 0,
+             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a)),
+    "Ex27": ("beta >= alpha >= 1", lambda a, b: compare(b, a) >= 0 and compare(a, 1.0) >= 0,
+             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a) * abs(math.log(1.0 - t)) / t),
+    "Ex28": ("beta > 1", lambda a, b: compare(b, 1.0) > 0,
+             lambda a, b, t: (1.0 + t) ** (a + 1.0) / (1.0 - t) ** (b - 1.0)),
+}
 
 
 def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> ProbeReport:
-    """Sample the displayed counterexample quantity along z = t and fit its
-    divergence exponent.
-
-    Ex26 (beta > alpha):        (1+t)^alpha / (1-t)^(beta-alpha)
-    Ex27 (beta >= alpha >= 1):  same times |log(1-t)| / t
-    Ex28 (beta > 1):            (1+t)^(alpha+1) / (1-t)^(beta-1)
-    """
+    """Sample the quantity of the witness `which` of WITNESSES along z = t
+    and fit its divergence exponent."""
     check_real("counterexample_probe", "alpha", alpha, 0)
-    if which not in _EXAMPLE_TAGS:
-        raise DomainError(f"unknown probe {which!r}")
+    check_real("counterexample_probe", "beta", beta)
+    try:
+        requirement, meets, quantity = WITNESSES[which]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise DomainError(f"unknown probe {which!r}") from None
     ts = sorted(check_real("counterexample_probe", "t", t, 0, 1) for t in t_list)
-
-    if which == "Ex26":
-        if compare(beta, alpha) <= 0:
-            raise DomainError("Ex26 requires beta > alpha")
-        values = [(1.0 + t) ** alpha / (1.0 - t) ** (beta - alpha) for t in ts]
-    elif which == "Ex27":
-        if compare(beta, alpha) < 0 or compare(alpha, 1.0) < 0:
-            raise DomainError("Ex27 requires beta >= alpha >= 1")
-        values = [
-            (1.0 + t) ** alpha / (1.0 - t) ** (beta - alpha) * abs(math.log(1.0 - t)) / t
-            for t in ts
-        ]
-    else:
-        if compare(beta, 1.0) <= 0:
-            raise DomainError("Ex28 requires beta > 1")
-        values = [(1.0 + t) ** (alpha + 1.0) / (1.0 - t) ** (beta - 1.0) for t in ts]
+    if not meets(alpha, beta):
+        raise DomainError(f"{which} requires {requirement}")
+    values = [quantity(alpha, beta, t) for t in ts]
 
     # log(value) on L = -log(1-t) and log(L): the log(L) column keeps a
     # logarithmic correction out of the exponent, where it would be bias

@@ -20,12 +20,7 @@ import numpy as np
 
 from .bloch import DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DEFAULT_R_MAX
 from .bloch import BlochParams, default_grid, seminorm_estimate
-from .bounds import (
-    bound_constant,
-    classify,
-    counterexample_probe,
-    default_probe_ts,
-)
+from .bounds import WITNESSES, bound_constant, classify, counterexample_probe, default_probe_ts
 from .compactness import (
     compactness_probe,
     default_test_family,
@@ -331,7 +326,7 @@ COMMANDS = {
         (
             _ALPHA,
             _BETA,
-            _arg("--which", choices=["Ex26", "Ex27", "Ex28"], required=True),
+            _arg("--which", choices=WITNESSES, required=True),
             _arg("--tmax", type=_finite_float, default=0.9999),
             *_OUTPUT,
         ),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,10 @@ class SymbolGBeta:
 
     def __post_init__(self):
         check_real("SymbolGBeta", "beta", self.beta)
+        bad = [x for t in self.terms for x in t
+               if not isinstance(x, numbers.Complex) or isinstance(x, bool)]
+        if bad:
+            raise DomainError(f"SymbolGBeta requires numeric a_j and b_j, got {bad[0]!r}")
         terms = tuple((complex(a), complex(b)) for a, b in self.terms)
         # a NaN would pass the comparisons below silently
         if not all(cmath.isfinite(x) for t in terms for x in t):
@@ -96,8 +101,8 @@ class SymbolGBeta:
         try:
             data = json.loads(text)
             pairs = [(t["a"], t["b_angle"]) for t in data["terms"]]
-            beta, h = data["beta"], data.get("h", {}).get("coeffs", [0.0])
-        except (TypeError, ValueError, LookupError, AttributeError, RecursionError) as exc:
+            beta, h = data["beta"], data.get("h", {"coeffs": [0.0]})["coeffs"]
+        except (TypeError, ValueError, LookupError, RecursionError) as exc:
             raise DomainError(f"malformed symbol file: {exc!r}") from None
         terms = tuple(
             (_coefficient(a, where, "a"), cmath.rect(1, check_real(where, "b_angle", b))) for a, b in pairs

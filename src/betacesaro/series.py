@@ -45,7 +45,11 @@ class PowerSeries:
     _seminorm: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1).copy()
+        c = np.asarray(self.coeffs)
+        # one dtype test, no loop: strings and booleans are not coefficients
+        if c.dtype.kind not in "iufc":
+            raise DomainError(f"PowerSeries requires numeric coefficients, got dtype {c.dtype}")
+        c = c.reshape(-1).astype(np.complex128)
         if c.size == 0:
             raise DomainError("a power series needs at least the constant term")
         if not np.all(np.isfinite(c.view(np.float64))):
@@ -140,6 +144,7 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
     result is value-equal to the loop, and the bits differ only in the sign
     of exact zeros, which are all +0 here.
     """
+    check_real("binomial_series", "beta", beta)
     if abs(b) > 1 + UNIT_TOL:
         raise DomainError("binomial_series requires |b| <= 1")
     order = check_integer("binomial_series", "order", order, 0)

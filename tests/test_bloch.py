@@ -187,6 +187,15 @@ def test_grid_radii_must_be_finite(radii):
         SampleGrid(radii=np.array(radii), n_angles=4)
 
 
+@pytest.mark.parametrize(
+    "radii, dtype", [(["0", "0.5"], "<U3"), ([False, True], "bool"), ([0, 0.5j], "complex128")]
+)
+def test_grid_radii_must_be_real_numbers(radii, dtype):
+    # numpy's float cast read "0.5" as 0.5 and True as 1
+    with pytest.raises(DomainError, match=f"^SampleGrid requires real radii, got dtype {dtype}$"):
+        SampleGrid(radii, 8)
+
+
 @pytest.mark.parametrize("radii", [np.array([]), np.array([[0.1, 0.2]])])
 def test_grid_radii_must_be_a_nonempty_vector(radii):
     with pytest.raises(DomainError):

@@ -23,7 +23,7 @@ from betacesaro import (
     apply_beta_cesaro,
 )
 
-from betacesaro.bounds import _PROFILES, REGIME_TOL, compare, least_squares
+from betacesaro.bounds import _PROFILES, REGIME_TOL, WITNESSES, compare, least_squares
 
 from .conftest import random_poly
 from .references import one_minus_power_bound
@@ -368,19 +368,53 @@ def test_probe_log_divergence_detected():
 
 
 def test_probe_regime_guards():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^Ex26 requires beta > alpha$"):
         counterexample_probe(1.0, 0.5, "Ex26", [0.5, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^Ex27 requires beta >= alpha >= 1$"):
         counterexample_probe(0.5, 1.0, "Ex27", [0.5, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^Ex28 requires beta > 1$"):
         counterexample_probe(1.0, 0.9, "Ex28", [0.5, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown probe 'Ex99'$"):
         counterexample_probe(0.5, 1.0, "Ex99", [0.5, 0.9])
+    with pytest.raises(DomainError, match=r"^unknown probe \['Ex26'\]$"):
+        counterexample_probe(0.5, 1.0, ["Ex26"], [0.5, 0.9])
     # equal up to REGIME_TOL is not strictly greater
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^Ex26 requires beta > alpha$"):
         counterexample_probe(1.0, 1.0 + 1e-15, "Ex26", [0.5, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^Ex28 requires beta > 1$"):
         counterexample_probe(0.5, 1.0 + 1e-15, "Ex28", [0.5, 0.9])
+
+
+# The displayed quantities of the paper's three witnesses, written out
+# independently of WITNESSES.
+WITNESS_QUANTITIES = {
+    "Ex26": lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a),
+    "Ex27": lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a) * abs(math.log(1.0 - t)) / t,
+    "Ex28": lambda a, b, t: (1.0 + t) ** (a + 1.0) / (1.0 - t) ** (b - 1.0),
+}
+
+
+@pytest.mark.parametrize("t_max", [0.5, 0.9, 0.999, 0.9999])
+@pytest.mark.parametrize(
+    "which, alpha, beta",
+    [
+        ("Ex26", 0.5, 1.0),
+        ("Ex26", 2, 3),
+        ("Ex26", 1.0, 1.0 + 1e-9),
+        ("Ex27", 1.0, 1.0),
+        # beta = alpha = 1 up to REGIME_TOL
+        ("Ex27", 1.0 - 1e-13, 1.0 - 2e-13),
+        ("Ex27", 1.5, 2.5),
+        ("Ex28", 1.0, 2.0),
+        ("Ex28", 0.5, 1.5),
+        ("Ex28", 3, 2),
+    ],
+)
+def test_probe_samples_are_the_witness_quantity_bit_for_bit(which, alpha, beta, t_max):
+    assert WITNESSES.keys() == WITNESS_QUANTITIES.keys()
+    ts = default_probe_ts(t_max)
+    rep = counterexample_probe(alpha, beta, which, ts)
+    assert rep.samples == tuple((t, WITNESS_QUANTITIES[which](alpha, beta, t)) for t in ts)
 
 
 def test_probe_ex27_accepts_boundary_within_tolerance():

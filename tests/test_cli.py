@@ -235,6 +235,8 @@ INPUT_FILES = {
     "bool-weight.json": b'{"terms": [{"a": [true, 0], "b_angle": 0}], "beta": 0.5}',
     "string-angle.json": b'{"terms": [{"a": [1, 0], "b_angle": "0"}], "beta": 0.5}',
     "400-digit-beta.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 1' + b"0" * 400 + b"}",
+    # a misspelled h key was read as h = 0
+    "h-typo.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0.5, "h": {"coefs": [[2, 0]]}}',
 }
 
 # the message of a symbol-file number, not wrapped as `malformed symbol file`
@@ -275,6 +277,7 @@ SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
         (["spectrum", "--N", "2", "--symbol", "bool-weight.json"], f"{SYMBOL_NUMBER} a, got True"),
         (["spectrum", "--N", "2", "--symbol", "string-angle.json"], f"{SYMBOL_NUMBER} b_angle, got '0'"),
         (["spectrum", "--N", "2", "--symbol", "400-digit-beta.json"], f"{SYMBOL_NUMBER} beta, got 10000"),
+        (["spectrum", "--N", "2", "--symbol", "h-typo.json"], "error: malformed symbol file: KeyError('coeffs')"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):

@@ -13,6 +13,7 @@ from betacesaro import (
     SampleGrid,
     SymbolGBeta,
     binomial_series,
+    bound_constant,
     classify,
     compact_approximant,
     counterexample_probe,
@@ -92,10 +93,16 @@ REAL_SITES = [
     ("BlochParams", "BlochParams", "alpha", 0, INF, lambda v: BlochParams(v)),
     ("weights", "SampleGrid.weights", "alpha", 0, INF, lambda v: GRID.weights(v)),
     ("classify", "classify", "alpha", 0, INF, lambda v: classify(v, 1.0)),
+    ("classify-beta", "classify", "beta", -INF, INF, lambda v: classify(2.0, v)),
+    # bound_constant checks its arguments through classify
+    ("bound_constant-beta", "classify", "beta", -INF, INF, lambda v: bound_constant(2.0, v)),
+    ("binomial_series-beta", "binomial_series", "beta", -INF, INF, lambda v: binomial_series(v, 1.0, 3)),
     ("Ex26-alpha", "counterexample_probe", "alpha", 0, INF,
      lambda v: counterexample_probe(v, 2.0, "Ex26", TS)),
     ("Ex28-alpha", "counterexample_probe", "alpha", 0, INF,
      lambda v: counterexample_probe(v, 2.0, "Ex28", TS)),
+    ("Ex28-beta", "counterexample_probe", "beta", -INF, INF,
+     lambda v: counterexample_probe(2.0, v, "Ex28", TS)),
     ("point_spectrum", "point_spectrum", "alpha", 0, INF, lambda v: point_spectrum(SYMBOL, v)),
     ("r_max", "default_grid", "r_max", 0, 1, lambda v: default_grid(8, 16, v)),
     ("t_max", "default_probe_ts", "t_max", 0, 1, lambda v: default_probe_ts(v)),
@@ -146,7 +153,10 @@ def test_every_real_argument_is_checked_by_one_rule(call, value, message):
     # alpha = inf was accepted (BlochParams, classify), an alpha <= 0 gave
     # counterexample_probe a `diverges` fit and SampleGrid.weights all ones,
     # a string t was read as a float, a string radius, dilation or beta
-    # ended in a bare TypeError, and a symbol file took strings and booleans
+    # ended in a bare TypeError, and a symbol file took strings and booleans;
+    # a NaN or infinite beta got a verdict from classify and
+    # counterexample_probe (or a ZeroDivisionError), and binomial_series
+    # read beta = True as 1
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(value)
 

@@ -1,5 +1,6 @@
 """Operator application, matrices, spectra, eigenfunctions, and preimages."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_symbol_rejects_duplicate_points():
 def test_symbol_rejects_non_finite(terms, beta, message):
     with pytest.raises(DomainError, match=message):
         SymbolGBeta(terms=terms, beta=beta)
+
+
+@pytest.mark.parametrize(
+    "terms, bad",
+    [((("1", 1),), "'1'"), (((True, 1.0),), "True"), (((1.0, "1"),), "'1'"), (((1.0, np.True_),), "np.True_")],
+)
+def test_symbol_rejects_strings_and_booleans(terms, bad):
+    # complex() read "1" and True as the number 1
+    message = f"SymbolGBeta requires numeric a_j and b_j, got {bad}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SymbolGBeta(terms=terms, beta=0.0)
 
 
 def test_symbol_json_text_is_pinned():

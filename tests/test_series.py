@@ -1,6 +1,7 @@
 """Truncated-series arithmetic: closed-form oracles and algebraic laws."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -499,6 +500,17 @@ def test_rejects_non_finite():
         PowerSeries([0, math.nan])
     with pytest.raises(DomainError):
         PowerSeries([math.inf, 0])
+
+
+@pytest.mark.parametrize(
+    "coeffs, dtype",
+    [(["1", "2"], "<U1"), ([True, False], "bool"), (np.array([b"1"]), "|S1"), ([None, 1], "object")],
+)
+def test_rejects_strings_and_booleans(coeffs, dtype):
+    # numpy's complex cast read "1" as 1 and True as 1
+    message = f"PowerSeries requires numeric coefficients, got dtype {dtype}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        PowerSeries(coeffs)
 
 
 def test_rejects_empty():
