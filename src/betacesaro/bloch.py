@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_real
+from .errors import DomainError, check_integer, check_no_bool, check_real
 from .bounds import compare
 from .series import PowerSeries, ps_derivative, tail_estimate
 
@@ -75,6 +75,7 @@ class SampleGrid:
         r = np.asarray(self.radii)
         if r.dtype.kind not in "iuf":
             raise DomainError(f"SampleGrid requires real radii, got dtype {r.dtype}")
+        check_no_bool("SampleGrid", "real radii", self.radii)
         r = r.astype(float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("radii must be a nonempty vector")

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,7 +47,16 @@ EXIT_USAGE = 1
 EXIT_VERDICT = 2
 
 
+# argparse's own pattern reads only -\d+ and -\d*\.\d+ as negative numbers,
+# which makes `-1e-3` an option; any "-" followed by a digit or ".digit" is a value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # usage errors exit 1, not argparse's 2, and --help returns 0 from main
     def error(self, message):
         raise _UsageError(message)

@@ -4,6 +4,8 @@ and real arguments."""
 import math
 import numbers
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
@@ -41,3 +43,13 @@ def check_real(where: str, name: str, value, low: float = -math.inf, high: float
     if not x < high:
         raise DomainError(f"{where} requires {name} < {high}, got {value}")
     return x
+
+
+def check_no_bool(where: str, name: str, value) -> None:
+    """Reject a list or tuple holding a Python or numpy bool at any depth:
+    numpy casts [True, 0.5] to float64, where a dtype test cannot see it.
+    Any other input, an ndarray among them, is left to the dtype test."""
+    if isinstance(value, (list, tuple)):
+        for x in np.asarray(value, dtype=object).flat:
+            if isinstance(x, (bool, np.bool_)):
+                raise DomainError(f"{where} requires {name}, got {x!r}")

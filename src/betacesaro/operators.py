@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import classify, compare
+from .bounds import REGIME_TOL, classify, compare
 from .errors import DomainError, SpectrumEmptyError, check_integer, check_real
 from .series import (
     DEFAULT_ORDER,
@@ -217,59 +217,48 @@ def eigenfunction_psi(s: SymbolGBeta, n: int, order: int = DEFAULT_ORDER) -> Pow
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Predicted point spectrum {g(0)/n} with an admissibility verdict."""
+    """The point spectrum {g(0)/n : 1 <= n <= n_max} of the operator."""
 
-    base: complex                      # g(0); eigenvalues are base / n
-    leading: tuple[complex, ...]       # g(0)/n for n = 1..16
-    empty: bool                        # true when g(0) = 0
-    covered: bool                      # parameter regime handled at all
-    admissible: bool | None            # condition verdict (None when n/a)
-    per_term: tuple[tuple[float, bool], ...]  # (Re(a_j/g(0)), ok) per term
-    note: str = ""
+    base: complex                  # g(0); eigenvalues are base / n
+    n_max: int | None              # largest eigenvalue index; None when every n qualifies
+    leading: tuple[complex, ...]   # g(0)/n for n = 1..min(n_max, 16)
 
     def to_dict(self) -> dict:
         return {
             "base": [self.base.real, self.base.imag],
+            "n_max": self.n_max,
             "leading": [[ev.real, ev.imag] for ev in self.leading],
-            "empty": self.empty,
-            "covered": self.covered,
-            "admissible": self.admissible,
-            "per_term": [{"re_ratio": r, "ok": ok} for r, ok in self.per_term],
-            "note": self.note,
         }
 
 
 def point_spectrum(s: SymbolGBeta, alpha: float) -> SpectrumReport:
-    """Predicted eigenvalue set of the operator, with the parameter-regime
-    conditions evaluated as verdicts rather than exceptions.
+    """The eigenvalues of the operator on B^alpha, defined exactly where
+    `classify` says Bounded.
 
-    Covered are exactly the (alpha, beta) that `classify` calls bounded:
-    every beta < 1 with beta <= alpha, where each g(0)/n is an eigenvalue,
-    and beta = 1 < alpha, where the report checks the all-n condition
-    Re(a_j/g(0)) <= 0 per term.  Which n qualify when that fails is not
-    computed.
+    The operator is lower triangular with diagonal g(0)/m, so each
+    eigenvalue is some g(0)/n, with eigenvector z^n psi_n.  On the beta = 1
+    row psi_n grows like |1 - b_j z|^(-n r) at the worst b_j, where
+    r = max_j Re(a_j/g(0)), so z^n psi_n lies in B^alpha iff n r + 1 <= alpha;
+    on every other bounded row, and for a symbol with no terms, r = 0.
+    n_max is 0 when g(0) vanishes, None when r <= 0 (every n qualifies),
+    and otherwise the largest n with n r + 1 <= alpha, within REGIME_TOL.
     """
     check_real("point_spectrum", "alpha", alpha, 0)
+    if not classify(alpha, s.beta).bounded:
+        raise DomainError(f"no point spectrum of an unbounded operator: alpha={alpha}, beta={s.beta}")
     g0 = s.value_at_zero()
-    empty = _vanishes(g0)
-    covered = classify(alpha, s.beta).bounded
-    admissible, per_term = None, ()
-    if empty:
-        note = "symbol vanishes at the origin: empty point spectrum"
-    elif not covered:
-        note = "unbounded operator: not covered"
-    elif compare(s.beta, 1.0) == 0:
-        per_term = tuple(((a / g0).real, (a / g0).real <= 0) for a, _ in s.terms)
-        admissible = all(ok for _, ok in per_term)
-        note = "requires Re(a_j/g(0)) <= 0 for every term"
-    else:
-        admissible = True
-        note = "unconditional for beta < 1"
-    return SpectrumReport(
-        base=0j if empty else g0,
-        leading=() if empty else tuple(g0 / n for n in range(1, 17)),
-        empty=empty, covered=covered, admissible=admissible, per_term=per_term, note=note,
-    )
+    if _vanishes(g0):
+        return SpectrumReport(base=g0, n_max=0, leading=())
+    terms = s.terms if compare(s.beta, 1.0) == 0 else ()
+    r = max(((a / g0).real for a, _ in terms), default=0.0)
+    n_max = None
+    if compare(r, 0.0) > 0:
+        # start above the largest n and step down; n = 0 ends the loop, as alpha > 1 on this row
+        n_max = math.floor((alpha - 1.0 + REGIME_TOL) / r) + 1
+        while compare(n_max * r + 1.0, alpha) > 0:
+            n_max -= 1
+    count = 16 if n_max is None else min(n_max, 16)
+    return SpectrumReport(base=g0, n_max=n_max, leading=tuple(g0 / n for n in range(1, count + 1)))
 
 
 def compact_approximant(f: PowerSeries, s: SymbolGBeta, dilation: float) -> PowerSeries:

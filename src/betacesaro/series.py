@@ -8,11 +8,12 @@ basis, so truncation commutes with them).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_real
+from .errors import DomainError, check_integer, check_no_bool, check_real
 
 DEFAULT_ORDER = 256
 
@@ -46,9 +47,11 @@ class PowerSeries:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
-        # one dtype test, no loop: strings and booleans are not coefficients
+        # one dtype test, no loop on an array: strings and booleans are not
+        # coefficients; a list or tuple is searched for the bools numpy casts
         if c.dtype.kind not in "iufc":
             raise DomainError(f"PowerSeries requires numeric coefficients, got dtype {c.dtype}")
+        check_no_bool("PowerSeries", "numeric coefficients", self.coeffs)
         c = c.reshape(-1).astype(np.complex128)
         if c.size == 0:
             raise DomainError("a power series needs at least the constant term")
@@ -145,8 +148,9 @@ def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:
     of exact zeros, which are all +0 here.
     """
     check_real("binomial_series", "beta", beta)
-    if abs(b) > 1 + UNIT_TOL:
-        raise DomainError("binomial_series requires |b| <= 1")
+    # `not <=` also rejects a NaN b
+    if not isinstance(b, numbers.Complex) or isinstance(b, bool) or not abs(b) <= 1 + UNIT_TOL:
+        raise DomainError(f"binomial_series requires a complex b with |b| <= 1, got {b!r}")
     order = check_integer("binomial_series", "order", order, 0)
     n = np.arange(order)
     steps = np.empty(3 * order + 1, dtype=np.complex128)

@@ -196,6 +196,14 @@ def test_grid_radii_must_be_real_numbers(radii, dtype):
         SampleGrid(radii, 8)
 
 
+@pytest.mark.parametrize("radii, bad", [([0, True, 0.5], "True"), ((0.0, np.True_), "np.True_")])
+def test_grid_radii_reject_a_bool_mixed_into_a_list(radii, bad):
+    # numpy cast the list to float64, so [0, True, 0.5] passed as [0, 1, 0.5]
+    # and failed only the range check, or not at all below 1
+    with pytest.raises(DomainError, match=f"^SampleGrid requires real radii, got {re.escape(bad)}$"):
+        SampleGrid(radii, 8)
+
+
 @pytest.mark.parametrize("radii", [np.array([]), np.array([[0.1, 0.2]])])
 def test_grid_radii_must_be_a_nonempty_vector(radii):
     with pytest.raises(DomainError):

@@ -278,6 +278,11 @@ SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
         (["spectrum", "--N", "2", "--symbol", "string-angle.json"], f"{SYMBOL_NUMBER} b_angle, got '0'"),
         (["spectrum", "--N", "2", "--symbol", "400-digit-beta.json"], f"{SYMBOL_NUMBER} beta, got 10000"),
         (["spectrum", "--N", "2", "--symbol", "h-typo.json"], "error: malformed symbol file: KeyError('coeffs')"),
+        # "-inf" is not a number to the parser, so --beta has no value
+        (["classify", "--alpha", "2", "--beta", "-inf"], "usage error: argument --beta: expected one argument"),
+        # a negative list reaches the library's check, not argparse's `expected one argument`
+        (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "-0.5,0.9"],
+         "error: essential_norm_probe requires dilation > 0, got -0.5"),
     ],
 )
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
@@ -289,6 +294,12 @@ def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
     assert out == ""
     assert err.startswith(prefix)
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, value", [("-1e-3", -0.001), ("-1E+0", -1.0), ("-.5", -0.5), ("-2", -2.0)])
+def test_negative_values_in_every_float_notation_are_values(capsys, text, value):
+    # argparse took "-1e-3" and "-1E+0" for options: `expected one argument`
+    assert run_json(capsys, "classify", "--alpha", "2", "--beta", text)["config"]["beta"] == value
 
 
 @pytest.mark.parametrize(

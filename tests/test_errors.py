@@ -161,6 +161,18 @@ def test_every_real_argument_is_checked_by_one_rule(call, value, message):
         call(value)
 
 
+@pytest.mark.parametrize(
+    "b", [True, np.True_, "1", None, math.nan, complex(1.0, math.inf), 10**400, 1.5],
+    ids=["bool", "np-bool", "string", "none", "nan", "inf", "huge-int", "outside"],
+)
+def test_binomial_series_point_is_a_complex_in_the_closed_disk(b):
+    # True was read as b = 1, "1" and None ended in abs()'s TypeError, and
+    # NaN passed the |b| test
+    message = f"binomial_series requires a complex b with |b| <= 1, got {b!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        binomial_series(1.0, b, 3)
+
+
 def test_check_real_returns_a_float_and_keeps_its_bits():
     for value in (np.float64(0.1), 3, 2**60 + 1, 1e-300):
         x = check_real("f", "x", value, 0)

@@ -1,10 +1,12 @@
 """Operator application, matrices, spectra, eigenfunctions, and preimages."""
+import cmath
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betacesaro import (
@@ -28,6 +30,7 @@ from betacesaro import (
     truncated_spectrum,
 )
 from betacesaro.bloch import eval_on_grid
+from betacesaro.bounds import REGIME_TOL, least_squares
 from betacesaro.operators import symbol_spectrum
 from betacesaro.series import eval_on_points
 
@@ -424,8 +427,9 @@ def test_gamma_0_is_value_at_zero_bit_for_bit(weights, h0, beta):
 
 
 def _symbol_with_value_at_zero(g0):
-    # a_1 + a_2 = 0 exactly, so g(0) is h's constant term
-    return SymbolGBeta(terms=((1.0, 1.0), (-1.0, -1.0)), beta=1.0, h=PowerSeries([g0]))
+    # a_1 + a_2 = 0 exactly, so g(0) is h's constant term; beta = 0.5 <= alpha = 1
+    # is a bounded row, where point_spectrum is defined
+    return SymbolGBeta(terms=((1.0, 1.0), (-1.0, -1.0)), beta=0.5, h=PowerSeries([g0]))
 
 
 @pytest.mark.parametrize(
@@ -434,7 +438,7 @@ def _symbol_with_value_at_zero(g0):
 def test_point_spectrum_and_psi_share_the_vanishing_rule(g0, vanishes):
     s = _symbol_with_value_at_zero(g0)
     assert s.value_at_zero() == g0
-    assert point_spectrum(s, alpha=1.0).empty is vanishes
+    assert (point_spectrum(s, alpha=1.0).n_max == 0) is vanishes
     try:
         eigenfunction_psi(s, 1, 4)
         raised = False
@@ -512,63 +516,153 @@ def test_psi_h_factor_two_sided_bound(grid):
 
 # ----------------------------------------------------------- point spectrum
 
+C1 = SymbolGBeta.beta_cesaro(1.0)
+# g(0) = 1.5 and max_j Re(a_j/g(0)) = 2/3; every b_j at +-1, so coefficients
+# sampled at multiples of 64 see no phase beat
+TWO_TERM = SymbolGBeta(terms=((1.0, 1.0), (0.5, -1.0)), beta=1.0)
+SHIFTED = SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=PowerSeries([-2.0]))
+H_ONLY = SymbolGBeta(terms=(), beta=1.0, h=PowerSeries([2.0]))
 
-def test_point_spectrum_cesaro_inadmissible():
-    rep = point_spectrum(SymbolGBeta.beta_cesaro(1.0), alpha=2.0)
+# (symbol, alpha, n_max)
+SPECTRUM_TABLE = [
+    pytest.param(C1, 1.5, 0, id="C1-1.5"),
+    pytest.param(C1, 2.0, 1, id="C1-2"),
+    pytest.param(C1, 3.0, 2, id="C1-3"),
+    pytest.param(C1, 4.5, 3, id="C1-4.5"),
+    # n r + 1 = alpha within REGIME_TOL qualifies
+    pytest.param(C1, 2.0 - 5e-13, 1, id="C1-2-below"),
+    pytest.param(C1, 2.0 + 5e-13, 1, id="C1-2-above"),
+    pytest.param(TWO_TERM, 3.0, 3, id="two-term-3"),
+    pytest.param(SHIFTED, 2.0, None, id="shifted-C1"),
+    pytest.param(SymbolGBeta.beta_cesaro(-1.0), 2.0, None, id="beta=-1"),
+    pytest.param(SymbolGBeta.beta_cesaro(0.0), 2.0, None, id="beta=0"),
+    pytest.param(SymbolGBeta.beta_cesaro(0.5), 2.0, None, id="beta=0.5"),
+    pytest.param(H_ONLY, 2.0, None, id="h-only"),
+]
+
+
+@pytest.mark.parametrize("s, alpha, n_max", SPECTRUM_TABLE)
+def test_point_spectrum_table(s, alpha, n_max):
+    rep = point_spectrum(s, alpha)
+    g0 = s.value_at_zero()
+    assert rep.base == g0
+    assert rep.n_max == n_max
+    count = 16 if n_max is None else n_max
+    assert rep.leading == tuple(g0 / n for n in range(1, count + 1))
+
+
+@pytest.mark.parametrize("s, alpha, n_max", SPECTRUM_TABLE)
+def test_point_spectrum_eigen_identity(s, alpha, n_max):
+    # every reported g(0)/n has the eigenvector z^n psi_n
+    rep = point_spectrum(s, alpha)
+    for n in range(1, (16 if rep.n_max is None else rep.n_max) + 1):
+        f = _eigenvector(s, n, 256)
+        out = apply_generalized(f, s)
+        want = f.scale(rep.base / n)
+        err = np.abs(out.coeffs - want.coeffs) / (1.0 + np.abs(want.coeffs))
+        assert float(np.max(err)) < 1e-10
+
+
+def _growth_exponent(s, n):
+    """The fitted s of |c_m| ~ m^s for psi_n's coefficients, m = 1024..2048."""
+    m = np.arange(1024, 2049, 64)
+    c = eigenfunction_psi(s, n, 2048).coeffs[m]
+    (exponent,) = least_squares([np.log(m).tolist()], np.log(np.abs(c)).tolist())
+    return exponent
+
+
+@pytest.mark.parametrize("s, r", [(C1, 1.0), (TWO_TERM, 2.0 / 3.0)], ids=["C1", "two-term"])
+def test_point_spectrum_is_the_members_of_b_alpha(s, r):
+    # a series whose coefficients grow like m^s lies in B^alpha iff
+    # s <= alpha - 2; psi_n's coefficients grow like m^(n r - 1)
+    alpha = 3.0
+    n_max = point_spectrum(s, alpha).n_max
+    exponents = {n: _growth_exponent(s, n) for n in range(1, n_max + 2)}
+    for n, exponent in exponents.items():
+        assert abs(exponent - (n * r - 1.0)) < 0.02
+    assert exponents[n_max] <= alpha - 2.0 + 0.02
+    assert exponents[n_max + 1] > alpha - 2.0
+
+
+@st.composite
+def beta_one_symbols(draw):
+    k = draw(st.integers(1, 3))
+    angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k, unique=True))
+    assume(all(abs(cmath.rect(1, u) - cmath.rect(1, v)) > 1e-6 for u, v in itertools.combinations(angles, 2)))
+    weights = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0), min_size=k, max_size=k))
+    # without h the ratios a_j/g(0) sum to 1, so their largest real part is > 0
+    h = PowerSeries([draw(st.complex_numbers(max_magnitude=3.0))])
+    return SymbolGBeta(terms=tuple(zip(weights, (cmath.rect(1, t) for t in angles))), beta=1.0, h=h)
+
+
+@given(s=beta_one_symbols(), alpha=st.floats(1.01, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_point_spectrum_n_max_is_the_largest_member(s, alpha):
+    g0 = s.value_at_zero()
+    assume(abs(g0) > 1e-3)
+    rep = point_spectrum(s, alpha)
+    r = max((a / g0).real for a, _ in s.terms)
+    assert (rep.n_max is None) is (r <= REGIME_TOL)
+    if rep.n_max is not None:
+        assert rep.n_max * r + 1.0 <= alpha + REGIME_TOL < (rep.n_max + 1) * r + 1.0
+    assert all(ev == g0 / (k + 1) for k, ev in enumerate(rep.leading))
+
+
+def test_point_spectrum_cesaro_on_b2_is_one_eigenvalue():
+    rep = point_spectrum(C1, alpha=2.0)
     assert rep.base == 1
-    assert rep.covered and not rep.empty
-    assert rep.admissible is False
-    np.testing.assert_allclose(rep.leading[:4], [1, 0.5, 1 / 3, 0.25])
+    assert rep.n_max == 1
+    assert rep.leading == (1,)
 
 
-def test_point_spectrum_shifted_admissible():
-    s = SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=PowerSeries([-2.0]))
-    rep = point_spectrum(s, alpha=2.0)
+def test_point_spectrum_shifted_every_n():
+    rep = point_spectrum(SHIFTED, alpha=2.0)
     assert rep.base == -1
-    assert rep.admissible is True
-    assert rep.per_term[0][0] == pytest.approx(-1.0)
+    assert rep.n_max is None
     np.testing.assert_allclose(rep.leading[:2], [-1, -0.5])
 
 
-def test_point_spectrum_alexander_unconditional():
+def test_point_spectrum_alexander_every_n():
     rep = point_spectrum(SymbolGBeta.alexander(), alpha=1.0)
-    assert rep.admissible is True
+    assert rep.n_max is None
     np.testing.assert_allclose(rep.leading[:3], [1, 0.5, 1 / 3])
 
 
 def test_point_spectrum_vanishing_symbol_empty():
     s = SymbolGBeta(terms=((1.0, 1.0), (-1.0, -1.0)), beta=1.0)
-    rep = point_spectrum(s, alpha=1.0)
-    assert rep.empty and rep.leading == ()
+    rep = point_spectrum(s, alpha=2.0)
+    assert rep.n_max == 0 and rep.leading == ()
 
 
-def test_point_spectrum_uncovered_regime():
-    rep = point_spectrum(SymbolGBeta.beta_cesaro(0.5), alpha=0.25)
-    assert not rep.covered
+def test_point_spectrum_unbounded_regime_raises():
+    with pytest.raises(DomainError, match="unbounded"):
+        point_spectrum(SymbolGBeta.beta_cesaro(0.5), alpha=0.25)
 
 
-def test_point_spectrum_coverage_follows_classify():
-    # beta = 0.1 + 0.2 equals alpha = 0.3 up to REGIME_TOL: bounded, so covered
-    assert point_spectrum(SymbolGBeta.beta_cesaro(0.1 + 0.2), alpha=0.3).covered
+def test_point_spectrum_follows_classify_within_the_tolerance():
+    # beta = 0.1 + 0.2 equals alpha = 0.3 up to REGIME_TOL: bounded
+    assert point_spectrum(SymbolGBeta.beta_cesaro(0.1 + 0.2), alpha=0.3).n_max is None
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0, 1.5, 2.5, "alpha"])
-def test_point_spectrum_coverage_is_boundedness(alpha, beta):
-    # e.g. (2, -1) is bounded and covered; (1, 1) is unbounded, with no
-    # verdict, per term or overall
+def test_point_spectrum_raises_iff_unbounded(alpha, beta):
+    # e.g. (2, -1) is bounded and every n qualifies; (1, 1) is unbounded
     beta = alpha if beta == "alpha" else beta
-    rep = point_spectrum(SymbolGBeta.beta_cesaro(beta), alpha)
-    covered = classify(alpha, beta).bounded
-    assert rep.covered is covered
-    assert (rep.admissible is None) is not covered
-    assert bool(rep.per_term) is (covered and beta == 1.0)
+    if classify(alpha, beta).bounded:
+        rep = point_spectrum(SymbolGBeta.beta_cesaro(beta), alpha)
+        assert (rep.n_max is None) is (beta != 1.0)
+    else:
+        with pytest.raises(DomainError, match="unbounded"):
+            point_spectrum(SymbolGBeta.beta_cesaro(beta), alpha)
 
 
 def test_point_spectrum_json():
     data = point_spectrum(SymbolGBeta.alexander(), 1.0).to_dict()
     assert data["base"] == [1.0, 0.0]
-    assert data["empty"] is False
+    assert data["n_max"] is None
+    assert len(data["leading"]) == 16
+    assert set(data) == {"base", "n_max", "leading"}
 
 
 # ------------------------------------------------------ compact approximant

@@ -513,6 +513,17 @@ def test_rejects_strings_and_booleans(coeffs, dtype):
         PowerSeries(coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs, bad",
+    [([True, 0.5], "True"), ((0.5, np.True_), "np.True_"), ([[1.0, True]], "True"), ([1, False], "False")],
+)
+def test_rejects_a_bool_mixed_into_a_list(coeffs, bad):
+    # numpy cast the list to float64, so [True, 0.5] built 1 + 0.5z
+    message = f"PowerSeries requires numeric coefficients, got {bad}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        PowerSeries(coeffs)
+
+
 def test_rejects_empty():
     with pytest.raises(DomainError):
         PowerSeries(np.zeros(0))
