@@ -72,7 +72,10 @@ class SampleGrid:
     n_angles: int
 
     def __post_init__(self):
-        r = np.asarray(self.radii)
+        try:
+            r = np.asarray(self.radii)
+        except ValueError:  # a ragged list
+            raise DomainError("SampleGrid requires a rectangular array of radii") from None
         if r.dtype.kind not in "iuf":
             raise DomainError(f"SampleGrid requires real radii, got dtype {r.dtype}")
         check_no_bool("SampleGrid", "real radii", self.radii)

@@ -1,4 +1,4 @@
-"""Explicit boundedness constants, the (alpha, beta) decision table, and the
+"""Explicit boundedness constants, the (alpha, beta) decision table REGIMES, and the
 counterexample divergence probes.
 
 The bounded/unbounded/compact classification is total on alpha > 0 and
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,6 @@ DIVERGENCE_THRESHOLD = 0.05
 # A fitted log-term coefficient above this counts as a detected logarithmic
 # correction (itself divergent even at exponent 0).
 LOG_DETECTION_THRESHOLD = 0.5
-
-_COMPACT = ("Bounded", "Compact", "EssentialNormZero")
 
 # Parameters within this distance of a regime boundary (beta = alpha,
 # alpha = 1, beta = 1, beta = 0) are treated as on it.
@@ -78,30 +77,6 @@ def _over_t(num, t, limit: float):
     return np.divide(num, t, out=np.full(np.shape(t), limit, dtype=float), where=t >= 1e-8)
 
 
-# Radial profiles keyed by compare(alpha, 1).  For alpha > 1 the alternating
-# sum over k of C(K, k) (-t)^(k-1) is (1 - (1-t)^K) / t with K = ceil(alpha).
-_PROFILES = {
-    -1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (a - b) / (1.0 - a),
-    0: lambda a, b, t: (1.0 - t) ** (1.0 - b) * _over_t(np.log((1.0 + t) / (1.0 - t)), t, 2.0),
-    1: lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (1.0 - b) / (a - 1.0)
-    * _over_t(1.0 - (1.0 - t) ** math.ceil(a), t, math.ceil(a)),
-}
-
-
-def bound_constant(alpha: float, beta: float) -> float:
-    """Operator-norm bound, defined exactly where classify says Bounded.
-
-    beta <= alpha < 1:  sup (1+t)^alpha (1-t)^(alpha-beta) / (1-alpha)
-    beta <= 1 < alpha:  sup (1+t)^alpha (1-t)^(1-beta) / (alpha-1)
-                            * sum_{k=1..ceil(alpha)} C(ceil(alpha),k)(-t)^(k-1)
-    beta < alpha = 1:   sup (1-t)^(1-beta) log((1+t)/(1-t)) / t
-    """
-    if not classify(alpha, beta).bounded:
-        raise DomainError(f"no certified bound for alpha={alpha}, beta={beta}")
-    profile = _PROFILES[compare(alpha, 1.0)]
-    return _sup_on_unit_interval(lambda t: profile(alpha, beta, t))
-
-
 @dataclass(frozen=True)
 class Classification:
     """Verdict flags plus the regime tags that justify them."""
@@ -117,41 +92,68 @@ class Classification:
         return {"verdict": "+".join(self.verdict), "source": " / ".join(self.source)}
 
 
-def classify(alpha: float, beta: float) -> Classification:
-    """Total, deterministic decision table on alpha > 0, beta real; equality
-    with a boundary means equality up to REGIME_TOL."""
+# The radial profiles (alpha, beta, t) of the Bounded rows, at alpha < 1, alpha = 1 and
+# alpha > 1; in the last, (1 - (1-t)^K) / t with K = ceil(alpha) is the alternating sum
+# over k = 1..K of C(K, k) (-t)^(k-1).
+_BELOW_1 = lambda a, b, t: (1.0 + t) ** a * (1.0 - t) ** (a - b) / (1.0 - a)
+_AT_1 = lambda a, b, t: (1.0 - t) ** (1.0 - b) * _over_t(np.log((1.0 + t) / (1.0 - t)), t, 2.0)
+_ABOVE_1 = lambda a, b, t: ((1.0 + t) ** a * (1.0 - t) ** (1.0 - b) / (a - 1.0)
+                            * _over_t(1.0 - (1.0 - t) ** math.ceil(a), t, math.ceil(a)))
+
+
+class Regime(NamedTuple):
+    """A row of REGIMES.  `when` gives, for compare(beta, alpha), compare(alpha, 1)
+    and compare(beta, 1) in turn, the outcomes the row admits among "<", "=", ">"."""
+
+    when: tuple[str, str, str]
+    classification: Classification
+    witness: str | None  # on an Unbounded row, the tag of its WITNESSES entry
+    profile: Callable | None  # on a Bounded row, the profile whose supremum bounds the norm
+
+
+def _row(when: str, verdict: str, source: tuple[str, ...], witness=None, profile=None) -> Regime:
+    return Regime(tuple(when.split()), Classification(tuple(verdict.split("+")), source), witness, profile)
+
+
+# The one decision of the (alpha, beta) regime: `regime` takes the first row that holds.
+REGIMES = (
+    _row("> <=> <=>", "Unbounded", ("counterexample: identity function, beta > alpha",), witness="Ex26"),
+    _row("= => <=>", "Unbounded", ("counterexample: principal log, beta = alpha >= 1",), witness="Ex27"),
+    _row("= < <=>", "Bounded+Compact+EssentialNormZero",
+         ("essential norm zero for beta = alpha < 1 (hence compact, hence bounded)",), profile=_BELOW_1),
+    _row("< < <=>", "Bounded+Compact+EssentialNormZero",
+         ("bounded for beta <= alpha < 1", "compact for beta < alpha < 1"), profile=_BELOW_1),
+    _row("< = <=>", "Bounded+Compact+EssentialNormZero",
+         ("bounded for beta < alpha = 1", "compact for beta < alpha = 1"), profile=_AT_1),
+    _row("< > >", "Unbounded", ("counterexample: z/(1-z)^(alpha-1), 1 < beta < alpha",), witness="Ex28"),
+    _row("< > =", "Bounded+Compact+EssentialNormZero",
+         ("bounded for beta <= 1 < alpha", "essential norm zero for beta = 1 < alpha"), profile=_ABOVE_1),
+    _row("< > <", "Bounded+Compact+EssentialNormZero",
+         ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha"), profile=_ABOVE_1),
+)
+
+
+def regime(alpha: float, beta: float) -> Regime:
+    """The row of REGIMES at alpha > 0 and real beta, a boundary within
+    REGIME_TOL counting as met; its argument checks name classify."""
     check_real("classify", "alpha", alpha, 0)
     check_real("classify", "beta", beta)
-    beta_vs_alpha = compare(beta, alpha)
-    alpha_vs_1 = compare(alpha, 1.0)
-    if beta_vs_alpha > 0:
-        return Classification(("Unbounded",), ("counterexample: identity function, beta > alpha",))
-    if beta_vs_alpha == 0:
-        if alpha_vs_1 >= 0:
-            return Classification(("Unbounded",), ("counterexample: principal log, beta = alpha >= 1",))
-        return Classification(
-            _COMPACT, ("essential norm zero for beta = alpha < 1 (hence compact, hence bounded)",)
-        )
-    # now beta < alpha
-    if alpha_vs_1 < 0:
-        return Classification(
-            _COMPACT, ("bounded for beta <= alpha < 1", "compact for beta < alpha < 1")
-        )
-    if alpha_vs_1 == 0:
-        return Classification(
-            _COMPACT, ("bounded for beta < alpha = 1", "compact for beta < alpha = 1")
-        )
-    # alpha > 1
-    beta_vs_1 = compare(beta, 1.0)
-    if beta_vs_1 > 0:
-        return Classification(("Unbounded",), ("counterexample: z/(1-z)^(alpha-1), 1 < beta < alpha",))
-    if beta_vs_1 == 0:
-        return Classification(
-            _COMPACT, ("bounded for beta <= 1 < alpha", "essential norm zero for beta = 1 < alpha")
-        )
-    return Classification(
-        _COMPACT, ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha")
-    )
+    signs = ["<=>"[compare(x, y) + 1] for x, y in ((beta, alpha), (alpha, 1.0), (beta, 1.0))]
+    return next(row for row in REGIMES if all(map(str.__contains__, row.when, signs)))
+
+
+def classify(alpha: float, beta: float) -> Classification:
+    """Total, deterministic verdict on alpha > 0, beta real: that of regime(alpha, beta)."""
+    return regime(alpha, beta).classification
+
+
+def bound_constant(alpha: float, beta: float) -> float:
+    """Operator-norm bound, defined exactly where classify says Bounded: the
+    supremum over [0, 1) of the radial profile of regime(alpha, beta)."""
+    profile = regime(alpha, beta).profile
+    if profile is None:
+        raise DomainError(f"no certified bound for alpha={alpha}, beta={beta}")
+    return _sup_on_unit_interval(lambda t: profile(alpha, beta, t))
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,19 @@ def least_squares(columns, y) -> tuple[float, ...] | None:
     return tuple(c / det for c in coefs) if det > n * math.ulp(1.0) * scale else None
 
 
-# The paper's counterexample witnesses, sampled along z = t in (0, 1):
-# tag -> (requirement, meets(alpha, beta), quantity(alpha, beta, t)).
+# The paper's counterexample witnesses, sampled along z = t in (0, 1): tag ->
+# (requirement, meets(alpha, beta), quantity(alpha, beta, t), its log(alpha, beta, t)).
+# The log form stands in only where the quantity is 0 or past the float range.
 WITNESSES = {
     "Ex26": ("beta > alpha", lambda a, b: compare(b, a) > 0,
-             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a)),
+             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a),
+             lambda a, b, t: a * math.log1p(t) - (b - a) * math.log1p(-t)),
     "Ex27": ("beta >= alpha >= 1", lambda a, b: compare(b, a) >= 0 and compare(a, 1.0) >= 0,
-             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a) * abs(math.log(1.0 - t)) / t),
+             lambda a, b, t: (1.0 + t) ** a / (1.0 - t) ** (b - a) * abs(math.log(1.0 - t)) / t,
+             lambda a, b, t: a * math.log1p(t) - (b - a) * math.log1p(-t) + math.log(-math.log1p(-t) / t)),
     "Ex28": ("beta > 1", lambda a, b: compare(b, 1.0) > 0,
-             lambda a, b, t: (1.0 + t) ** (a + 1.0) / (1.0 - t) ** (b - 1.0)),
+             lambda a, b, t: (1.0 + t) ** (a + 1.0) / (1.0 - t) ** (b - 1.0),
+             lambda a, b, t: (a + 1.0) * math.log1p(t) - (b - 1.0) * math.log1p(-t)),
 }
 
 
@@ -214,20 +220,34 @@ def counterexample_probe(alpha: float, beta: float, which: str, t_list) -> Probe
     check_real("counterexample_probe", "alpha", alpha, 0)
     check_real("counterexample_probe", "beta", beta)
     try:
-        requirement, meets, quantity = WITNESSES[which]
+        requirement, meets, quantity, log_quantity = WITNESSES[which]
     except (KeyError, TypeError):  # TypeError: an unhashable tag
         raise DomainError(f"unknown probe {which!r}") from None
     ts = sorted(check_real("counterexample_probe", "t", t, 0, 1) for t in t_list)
     if not meets(alpha, beta):
         raise DomainError(f"{which} requires {requirement}")
-    values = [quantity(alpha, beta, t) for t in ts]
+    values, logs = [], []
+    for t in ts:
+        try:
+            value = quantity(alpha, beta, t)
+        except (OverflowError, ZeroDivisionError):  # a power past the float range, or 1 over its underflow
+            value = math.inf
+        values.append(value)
+        logs.append(math.log(value) if 0.0 < value < math.inf else log_quantity(alpha, beta, t))
 
     # log(value) on L = -log(1-t) and log(L): the log(L) column keeps a
     # logarithmic correction out of the exponent, where it would be bias
     big_l = [-math.log1p(-t) for t in ts]
-    fit = least_squares([big_l, [math.log(x) for x in big_l]], [math.log(v) for v in values])
+    try:
+        fit = least_squares([big_l, [math.log(x) for x in big_l]], logs)
+    except (OverflowError, ValueError):  # math.fsum past the float range, or of inf - inf
+        fit = (math.nan,)  # no finite fit
     if fit is None:
         raise DomainError("t_list needs at least three distinct values to fit")
+    if not all(map(math.isfinite, fit)):
+        raise DomainError(
+            f"{which} has no finite fit at alpha={alpha}, beta={beta}: its samples are too large even as logs"
+        )
     exponent, log_coef = fit
     diverges = exponent > DIVERGENCE_THRESHOLD or log_coef > LOG_DETECTION_THRESHOLD
     return ProbeReport(

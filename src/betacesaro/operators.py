@@ -48,6 +48,8 @@ class SymbolGBeta:
 
     def __post_init__(self):
         check_real("SymbolGBeta", "beta", self.beta)
+        if not isinstance(self.h, PowerSeries):
+            raise DomainError(f"SymbolGBeta requires a PowerSeries h, got {type(self.h).__name__}")
         bad = [x for t in self.terms for x in t
                if not isinstance(x, numbers.Complex) or isinstance(x, bool)]
         if bad:

@@ -46,7 +46,10 @@ class PowerSeries:
     _seminorm: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs)
+        try:
+            c = np.asarray(self.coeffs)
+        except ValueError:  # a ragged list
+            raise DomainError("PowerSeries requires a rectangular array of coefficients") from None
         # one dtype test, no loop on an array: strings and booleans are not
         # coefficients; a list or tuple is searched for the bools numpy casts
         if c.dtype.kind not in "iufc":

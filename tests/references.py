@@ -4,7 +4,8 @@ import math
 
 from betacesaro import BlochParams, PowerSeries, SampleGrid, SymbolGBeta, apply_generalized, seminorm_estimate
 from betacesaro.bloch import normalize
-from betacesaro.errors import check_integer
+from betacesaro.bounds import Classification, compare
+from betacesaro.errors import check_integer, check_real
 from betacesaro.series import DEFAULT_ORDER
 
 
@@ -26,3 +27,43 @@ def one_minus_power_bound(n: int) -> float:
     e = math.exp(math.log(2.0) / n)
     ang = math.pi / (2.0 * n)
     return abs(1.0 - e) + e * math.hypot(math.cos(ang) - 1.0, math.sin(ang))
+
+
+_COMPACT = ("Bounded", "Compact", "EssentialNormZero")
+
+
+def classify_reference(alpha: float, beta: float) -> Classification:
+    """The (alpha, beta) decision as an if-chain on compare, the reference
+    for `classify` and its table `bounds.REGIMES`."""
+    check_real("classify", "alpha", alpha, 0)
+    check_real("classify", "beta", beta)
+    beta_vs_alpha = compare(beta, alpha)
+    alpha_vs_1 = compare(alpha, 1.0)
+    if beta_vs_alpha > 0:
+        return Classification(("Unbounded",), ("counterexample: identity function, beta > alpha",))
+    if beta_vs_alpha == 0:
+        if alpha_vs_1 >= 0:
+            return Classification(("Unbounded",), ("counterexample: principal log, beta = alpha >= 1",))
+        return Classification(
+            _COMPACT, ("essential norm zero for beta = alpha < 1 (hence compact, hence bounded)",)
+        )
+    # now beta < alpha
+    if alpha_vs_1 < 0:
+        return Classification(
+            _COMPACT, ("bounded for beta <= alpha < 1", "compact for beta < alpha < 1")
+        )
+    if alpha_vs_1 == 0:
+        return Classification(
+            _COMPACT, ("bounded for beta < alpha = 1", "compact for beta < alpha = 1")
+        )
+    # alpha > 1
+    beta_vs_1 = compare(beta, 1.0)
+    if beta_vs_1 > 0:
+        return Classification(("Unbounded",), ("counterexample: z/(1-z)^(alpha-1), 1 < beta < alpha",))
+    if beta_vs_1 == 0:
+        return Classification(
+            _COMPACT, ("bounded for beta <= 1 < alpha", "essential norm zero for beta = 1 < alpha")
+        )
+    return Classification(
+        _COMPACT, ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha")
+    )

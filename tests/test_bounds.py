@@ -23,10 +23,10 @@ from betacesaro import (
     apply_beta_cesaro,
 )
 
-from betacesaro.bounds import _PROFILES, REGIME_TOL, WITNESSES, compare, least_squares
+from betacesaro.bounds import REGIME_TOL, REGIMES, WITNESSES, compare, least_squares, regime
 
 from .conftest import random_poly
-from .references import one_minus_power_bound
+from .references import classify_reference, one_minus_power_bound
 
 # ------------------------------------------------------------ bound_constant
 
@@ -70,7 +70,7 @@ def test_profiles_match_scalar_reference(alpha, beta):
     # for t >= 1e-3 that is at most 1000 ulps of the result; the t = 0 and
     # t < 1e-8 points take the removable limits
     t = np.concatenate([[0.0, 5e-9], np.linspace(1e-3, 1.0 - 1e-9, 257)])
-    got = _PROFILES[compare(alpha, 1.0)](alpha, beta, t)
+    got = regime(alpha, beta).profile(alpha, beta, t)
     want = [_reference_profile(alpha, beta, x) for x in t.tolist()]
     np.testing.assert_allclose(got, want, rtol=1000 * np.finfo(float).eps, atol=0)
 
@@ -132,6 +132,57 @@ def test_classify_total_and_deterministic(alpha, beta):
 def test_classify_json():
     data = classify(2.0, 1.0).to_dict()
     assert "Bounded" in data["verdict"]
+
+
+# Offsets from a regime boundary: on it, within REGIME_TOL of it, and past it.
+_OFFSETS = st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12])
+
+
+@st.composite
+def near_boundaries(draw):
+    """alpha in (0, 5] or an offset from 1, and beta in [-2, 5] or an offset
+    from 1 or from alpha, so that every boundary is drawn on and off."""
+    alpha = draw(st.floats(0.0, 5.0, exclude_min=True) | _OFFSETS.map(lambda d: 1.0 + d))
+    beta = draw(st.floats(-2.0, 5.0) | _OFFSETS.map(lambda d: 1.0 + d) | _OFFSETS.map(lambda d: alpha + d))
+    return alpha, beta
+
+
+@given(point=near_boundaries())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_classify_matches_the_chain_it_replaced(point):
+    assert classify(*point) == classify_reference(*point)
+
+
+def test_each_row_has_one_kind_of_evidence():
+    for row in REGIMES:
+        if row.classification.bounded:
+            assert row.witness is None and callable(row.profile)
+        else:
+            assert row.profile is None and row.witness in WITNESSES
+
+
+# The sweep: alpha x beta with beta also alpha, duplicates removed.
+SWEEP = sorted({(a, b) for a in (0.5, 0.8, 1.0, 1.5, 2.0, 3.0) for b in (-1.0, 0.0, 0.5, 1.0, a, 1.5, 2.5)})
+
+
+def test_every_row_holds_its_evidence_on_the_sweep_and_its_boundaries():
+    # on an Unbounded row its witness diverges, on a Bounded row the
+    # supremum of its profile is finite; each sweep point also moved by
+    # 5e-13 on either coordinate, which leaves it on the same boundaries
+    assert len(SWEEP) == 39
+    assert sum(classify(a, b).bounded for a, b in SWEEP) == 22
+    points = [(a + da, b + db) for a, b in SWEEP for da, db in
+              [(0.0, 0.0), (5e-13, 0.0), (-5e-13, 0.0), (0.0, 5e-13), (0.0, -5e-13)]]
+    failed = []
+    for alpha, beta in points:
+        row = regime(alpha, beta)
+        if row.witness is not None:
+            holds = counterexample_probe(alpha, beta, row.witness, default_probe_ts()).verdict == "diverges"
+        else:
+            holds = math.isfinite(bound_constant(alpha, beta))
+        if not holds:
+            failed.append((alpha, beta))
+    assert failed == []
 
 
 # -------------------------------------------------------- regime boundaries
@@ -424,6 +475,36 @@ def test_probe_samples_are_the_witness_quantity_bit_for_bit(which, alpha, beta, 
     ts = default_probe_ts(t_max)
     rep = counterexample_probe(alpha, beta, which, ts)
     assert rep.samples == tuple((t, WITNESS_QUANTITIES[which](alpha, beta, t)) for t in ts)
+
+
+@pytest.mark.parametrize(
+    "which, alpha, beta",
+    [("Ex26", 0.5, 1.0), ("Ex26", 3.0, 7.0), ("Ex27", 1.0, 1.0), ("Ex27", 1.5, 2.5), ("Ex28", 1.0, 2.0),
+     ("Ex28", 3.0, 2.0)],
+)
+def test_witness_log_form_is_the_log_of_its_quantity(which, alpha, beta):
+    _, _, quantity, log_quantity = WITNESSES[which]
+    for t in default_probe_ts(0.999999):
+        assert log_quantity(alpha, beta, t) == pytest.approx(math.log(quantity(alpha, beta, t)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "which, alpha, beta, t_max",
+    [("Ex26", 0.5, 400.0, 0.9999), ("Ex27", 400.0, 700.0, 0.9999), ("Ex28", 1e300, 2.0, 0.1)],
+)
+def test_probe_past_the_float_range_fits_the_log_form(which, alpha, beta, t_max):
+    # these ended in ZeroDivisionError ((1 - t)^(beta - alpha) underflows
+    # to 0) and OverflowError ((1 + t)^(alpha + 1) is past the float range)
+    rep = counterexample_probe(alpha, beta, which, default_probe_ts(t_max))
+    assert rep.verdict == "diverges" and rep.fitted_exponent > 100
+    assert math.inf in [v for _, v in rep.samples]
+
+
+@pytest.mark.parametrize("alpha, beta, which", [(1e308, 2.0, "Ex28"), (1.0, 1e308, "Ex26")])
+def test_probe_with_logs_past_the_float_range_is_a_domain_error(alpha, beta, which):
+    # math.fsum of the logs overflows, or the logs themselves are infinite
+    with pytest.raises(DomainError, match=f"^{which} has no finite fit"):
+        counterexample_probe(alpha, beta, which, default_probe_ts())
 
 
 def test_probe_ex27_accepts_boundary_within_tolerance():

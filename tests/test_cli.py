@@ -239,6 +239,9 @@ INPUT_FILES = {
     "h-typo.json": b'{"terms": [{"a": [1, 0], "b_angle": 0}], "beta": 0.5, "h": {"coefs": [[2, 0]]}}',
 }
 
+# the message of a report that holds an infinite sample
+NON_FINITE = "error: report holds a non-finite number"
+
 # the message of a symbol-file number, not wrapped as `malformed symbol file`
 SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
 
@@ -268,6 +271,13 @@ SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
         (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
         (["counterexample", "--alpha", "-1", "--beta", "2", "--which", "Ex26"], "error:"),
         (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
+        # (1 - t)^(beta - alpha) underflowed to 0 and (1 + t)^(alpha + 1) overflowed: tracebacks;
+        # the fit now reads the log form, and the report's infinite sample is the one error
+        (["counterexample", "--alpha", "0.5", "--beta", "400", "--which", "Ex26"], NON_FINITE),
+        (["counterexample", "--alpha", "400", "--beta", "700", "--which", "Ex27"], NON_FINITE),
+        (["counterexample", "--alpha", "1e300", "--beta", "2", "--which", "Ex28", "--tmax", "0.1"], NON_FINITE),
+        (["counterexample", "--alpha", "1e308", "--beta", "2", "--which", "Ex28"],
+         "error: Ex28 has no finite fit at alpha=1e+308, beta=2.0: its samples are too large even as logs"),
         (["spectrum", "--N", "3", "--symbol", "nan-angle.json"], "error:"),
         (["spectrum", "--N", "3", "--symbol", "nan-beta.json"], "error:"),
         (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 5000 + "]"], "error:"),

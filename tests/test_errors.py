@@ -180,3 +180,23 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
     # the dataclasses store what they were given
     assert type(BlochParams(2).alpha) is int
     assert type(SymbolGBeta.beta_cesaro(np.float64(0.5)).beta) is np.float64
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PowerSeries([[1, 2], [3]]), "PowerSeries requires a rectangular array of coefficients"),
+        (lambda: PowerSeries([0.5, [1.0]]), "PowerSeries requires a rectangular array of coefficients"),
+        (lambda: SampleGrid([[0.1], [0.2, 0.3]], 4), "SampleGrid requires a rectangular array of radii"),
+        (lambda: SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=[1, 2]),
+         "SymbolGBeta requires a PowerSeries h, got list"),
+        (lambda: SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=None),
+         "SymbolGBeta requires a PowerSeries h, got NoneType"),
+    ],
+    ids=["ragged-series", "ragged-scalar-and-list", "ragged-radii", "list-h", "none-h"],
+)
+def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
+    # a ragged list ended in numpy's own ValueError, and a list h built a
+    # symbol whose value_at_zero() then raised AttributeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
