@@ -50,11 +50,15 @@ class SymbolGBeta:
         check_real("SymbolGBeta", "beta", self.beta)
         if not isinstance(self.h, PowerSeries):
             raise DomainError(f"SymbolGBeta requires a PowerSeries h, got {type(self.h).__name__}")
-        bad = [x for t in self.terms for x in t
+        try:
+            pairs = [(a, b) for a, b in self.terms]
+        except (TypeError, ValueError):  # not iterable, or a term not of two parts
+            raise DomainError(f"SymbolGBeta requires terms that are (a_j, b_j) pairs, got {self.terms!r}") from None
+        bad = [x for t in pairs for x in t
                if not isinstance(x, numbers.Complex) or isinstance(x, bool)]
         if bad:
             raise DomainError(f"SymbolGBeta requires numeric a_j and b_j, got {bad[0]!r}")
-        terms = tuple((complex(a), complex(b)) for a, b in self.terms)
+        terms = tuple((complex(a), complex(b)) for a, b in pairs)
         # a NaN would pass the comparisons below silently
         if not all(cmath.isfinite(x) for t in terms for x in t):
             raise DomainError("symbol weights a_j and points b_j must be finite")

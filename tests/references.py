@@ -1,8 +1,21 @@
 """Acceptance references that only the tests use: each checks a statement
-of the paper, and no CLI command or library path reaches it."""
+of the paper, and no CLI command or library path reaches it, or keeps an
+older form of the code as the reference of the new one."""
 import math
+import sys
 
-from betacesaro import BlochParams, PowerSeries, SampleGrid, SymbolGBeta, apply_generalized, seminorm_estimate
+import numpy as np
+
+from betacesaro import (
+    BlochParams,
+    DomainError,
+    PowerSeries,
+    SampleGrid,
+    SymbolGBeta,
+    apply_generalized,
+    cli,
+    seminorm_estimate,
+)
 from betacesaro.bloch import normalize
 from betacesaro.bounds import Classification, compare
 from betacesaro.errors import check_integer, check_real
@@ -67,3 +80,26 @@ def classify_reference(alpha: float, beta: float) -> Classification:
     return Classification(
         _COMPACT, ("bounded for beta <= 1 < alpha", "compact for beta < 1 < alpha")
     )
+
+
+_TOP_LEVEL = cli.build_parser()
+
+
+def main_reference(argv=None) -> int:
+    """`cli.main` with every command line parsed by the top-level parser,
+    which hands the rest of the line to the command's subparser: the
+    reference for `main`'s dispatch."""
+    try:
+        args = _TOP_LEVEL.parse_args(argv)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result, csv_view, code = cli.COMMANDS[args.command].run(args)
+            cli._emit(args, result, csv_view)
+        return code
+    except cli._ParserExit as exc:
+        return exc.args[0]
+    except cli._UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except (DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacesaro import (
     BlochParams,
@@ -19,11 +21,19 @@ from betacesaro import (
     null_family,
 )
 from betacesaro.bloch import MAX_N_ANGULAR, MAX_N_RADIAL
-from betacesaro.cli import MAX_ORDER, _emit, main
+from betacesaro.cli import MAX_ORDER, _emit, _json, main
+
+from .references import main_reference
 
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_reference(capsys, *argv):
+    code = main_reference(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -246,59 +256,67 @@ NON_FINITE = "error: report holds a non-finite number"
 SYMBOL_NUMBER = "error: SymbolGBeta.from_json requires a finite real"
 
 
-@pytest.mark.parametrize(
-    "argv, prefix",
-    [
-        (["classify", "--alpha", "1", "--beta", "nan"], "usage error:"),
-        (["bound", "--alpha", "inf", "--beta", "0.5"], "usage error:"),
-        (PROBE_EX26 + ["--tmax", "nan"], "usage error:"),
-        (PROBE_EX26 + ["--tmax", "1"], "error:"),
-        (["apply", "--beta", "0", "--f", "[[0]]"], "error:"),
-        (["apply", "--beta", "0", "--f", "5"], "error:"),
-        (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5,abc"], "usage error:"),
-        (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 400 + "]"], "error:"),
-        (["bound", "--alpha", "-1", "--beta", "-2"], "error:"),
-        (["eigenfunction", "--beta", "1", "--n", "1", "--N", "-5"], "usage error:"),
-        (["spectrum", "--beta", "1", "--N", "0"], "usage error:"),
-        (["matrix", "--beta", "1", "--N", "2.5"], "usage error:"),
-        (["apply", "--beta", "0", "--f", "[" * 100_000], "error:"),
-        (["apply", "--beta", "0", "--f-file", "non-utf8.json"], "error:"),
-        (["apply", "--beta", "0", "--f-file", "no-coeffs.json"], "error:"),
-        (["eigenfunction", "--symbol", "g0.json", "--n", "1", "--N", "4"], "error:"),
-        (["seminorm", "--alpha", "1", "--f", "[0, 1]", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
-        (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
-        (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
-        (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
-        (["counterexample", "--alpha", "-1", "--beta", "2", "--which", "Ex26"], "error:"),
-        (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
-        # (1 - t)^(beta - alpha) underflowed to 0 and (1 + t)^(alpha + 1) overflowed: tracebacks;
-        # the fit now reads the log form, and the report's infinite sample is the one error
-        (["counterexample", "--alpha", "0.5", "--beta", "400", "--which", "Ex26"], NON_FINITE),
-        (["counterexample", "--alpha", "400", "--beta", "700", "--which", "Ex27"], NON_FINITE),
-        (["counterexample", "--alpha", "1e300", "--beta", "2", "--which", "Ex28", "--tmax", "0.1"], NON_FINITE),
-        (["counterexample", "--alpha", "1e308", "--beta", "2", "--which", "Ex28"],
-         "error: Ex28 has no finite fit at alpha=1e+308, beta=2.0: its samples are too large even as logs"),
-        (["spectrum", "--N", "3", "--symbol", "nan-angle.json"], "error:"),
-        (["spectrum", "--N", "3", "--symbol", "nan-beta.json"], "error:"),
-        (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 5000 + "]"], "error:"),
-        (["apply", "--beta", "0", "--f-file", "5000-digits.json"], "error:"),
-        (["spectrum", "--N", "2", "--symbol", "string-beta.json"], f"{SYMBOL_NUMBER} beta, got '0.5'"),
-        (["spectrum", "--N", "2", "--symbol", "bool-beta.json"], f"{SYMBOL_NUMBER} beta, got True"),
-        (["spectrum", "--N", "2", "--symbol", "bool-weight.json"], f"{SYMBOL_NUMBER} a, got True"),
-        (["spectrum", "--N", "2", "--symbol", "string-angle.json"], f"{SYMBOL_NUMBER} b_angle, got '0'"),
-        (["spectrum", "--N", "2", "--symbol", "400-digit-beta.json"], f"{SYMBOL_NUMBER} beta, got 10000"),
-        (["spectrum", "--N", "2", "--symbol", "h-typo.json"], "error: malformed symbol file: KeyError('coeffs')"),
-        # "-inf" is not a number to the parser, so --beta has no value
-        (["classify", "--alpha", "2", "--beta", "-inf"], "usage error: argument --beta: expected one argument"),
-        # a negative list reaches the library's check, not argparse's `expected one argument`
-        (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "-0.5,0.9"],
-         "error: essential_norm_probe requires dilation > 0, got -0.5"),
-    ],
-)
-def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
+# (argv, the start of its one stderr line)
+MALFORMED_INPUT = [
+    (["classify", "--alpha", "1", "--beta", "nan"], "usage error:"),
+    (["bound", "--alpha", "inf", "--beta", "0.5"], "usage error:"),
+    (PROBE_EX26 + ["--tmax", "nan"], "usage error:"),
+    (PROBE_EX26 + ["--tmax", "1"], "error:"),
+    (["apply", "--beta", "0", "--f", "[[0]]"], "error:"),
+    (["apply", "--beta", "0", "--f", "5"], "error:"),
+    (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "0.5,abc"], "usage error:"),
+    (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 400 + "]"], "error:"),
+    (["bound", "--alpha", "-1", "--beta", "-2"], "error:"),
+    (["eigenfunction", "--beta", "1", "--n", "1", "--N", "-5"], "usage error:"),
+    (["spectrum", "--beta", "1", "--N", "0"], "usage error:"),
+    (["matrix", "--beta", "1", "--N", "2.5"], "usage error:"),
+    (["apply", "--beta", "0", "--f", "[" * 100_000], "error:"),
+    (["apply", "--beta", "0", "--f-file", "non-utf8.json"], "error:"),
+    (["apply", "--beta", "0", "--f-file", "no-coeffs.json"], "error:"),
+    (["eigenfunction", "--symbol", "g0.json", "--n", "1", "--N", "4"], "error:"),
+    (["seminorm", "--alpha", "1", "--f", "[0, 1]", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
+    (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
+    (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
+    (["compactness", "--alpha", "2", "--beta", "1", "--kind", "dilation"], "usage error:"),
+    (["counterexample", "--alpha", "-1", "--beta", "2", "--which", "Ex26"], "error:"),
+    (["counterexample", "--alpha", "0", "--beta", "2", "--which", "Ex28"], "error:"),
+    # (1 - t)^(beta - alpha) underflowed to 0 and (1 + t)^(alpha + 1) overflowed: tracebacks;
+    # the fit now reads the log form, and the report's infinite sample is the one error
+    (["counterexample", "--alpha", "0.5", "--beta", "400", "--which", "Ex26"], NON_FINITE),
+    (["counterexample", "--alpha", "400", "--beta", "700", "--which", "Ex27"], NON_FINITE),
+    (["counterexample", "--alpha", "1e300", "--beta", "2", "--which", "Ex28", "--tmax", "0.1"], NON_FINITE),
+    (["counterexample", "--alpha", "1e308", "--beta", "2", "--which", "Ex28"],
+     "error: Ex28 has no finite fit at alpha=1e+308, beta=2.0: its samples are too large even as logs"),
+    (["spectrum", "--N", "3", "--symbol", "nan-angle.json"], "error:"),
+    (["spectrum", "--N", "3", "--symbol", "nan-beta.json"], "error:"),
+    (["apply", "--beta", "0", "--f", "[0, 1" + "0" * 5000 + "]"], "error:"),
+    (["apply", "--beta", "0", "--f-file", "5000-digits.json"], "error:"),
+    (["spectrum", "--N", "2", "--symbol", "string-beta.json"], f"{SYMBOL_NUMBER} beta, got '0.5'"),
+    (["spectrum", "--N", "2", "--symbol", "bool-beta.json"], f"{SYMBOL_NUMBER} beta, got True"),
+    (["spectrum", "--N", "2", "--symbol", "bool-weight.json"], f"{SYMBOL_NUMBER} a, got True"),
+    (["spectrum", "--N", "2", "--symbol", "string-angle.json"], f"{SYMBOL_NUMBER} b_angle, got '0'"),
+    (["spectrum", "--N", "2", "--symbol", "400-digit-beta.json"], f"{SYMBOL_NUMBER} beta, got 10000"),
+    (["spectrum", "--N", "2", "--symbol", "h-typo.json"], "error: malformed symbol file: KeyError('coeffs')"),
+    # "-inf" is not a number to the parser, so --beta has no value
+    (["classify", "--alpha", "2", "--beta", "-inf"], "usage error: argument --beta: expected one argument"),
+    # a negative list reaches the library's check, not argparse's `expected one argument`
+    (["essnorm", "--alpha", "1", "--beta", "0", "--dilations", "-0.5,0.9"],
+     "error: essential_norm_probe requires dilation > 0, got -0.5"),
+    # the whole line, newline included: the report encoder's message is the standard encoder's
+    (["counterexample", "--alpha", "400", "--beta", "700", "--which", "Ex27", "--format", "json"],
+     f"{NON_FINITE}: Out of range float values are not JSON compliant: inf\n"),
+]
+
+
+def _with_input_files(tmp_path, argv):
     for name, data in INPUT_FILES.items():
         (tmp_path / name).write_bytes(data)
-    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+    return [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, prefix", MALFORMED_INPUT)
+def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, prefix):
+    argv = _with_input_files(tmp_path, argv)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -413,6 +431,62 @@ def test_non_finite_report_is_one_line_error(capsys):
     with pytest.raises(DomainError, match="non-finite"):
         _emit(args, {"constant": math.inf}, None)
     assert capsys.readouterr().out == ""
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+# strings with non-ASCII, quote, backslash and control characters
+_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'),
+                max_size=8)
+_LEAF = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e308, -1e308, 0.1]),
+    st.integers(),
+    st.sampled_from([-3, 0, 2**70, -(2**70)]),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+
+
+def _nested(depth):
+    """JSON values whose containers (dicts, lists, tuples, empty ones too)
+    nest at most `depth` deep."""
+    if depth == 0:
+        return _LEAF
+    inner = _nested(depth - 1)
+    return (
+        _LEAF
+        | st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=3)
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_nested(4))
+def test_report_encoder_writes_what_json_dumps_writes(value):
+    assert _json(value, "\n") == _dumps(value)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.inf)], ids=repr)
+def test_report_encoder_rejects_non_finite_floats_with_the_json_message(x):
+    value = {"result": {"samples": [[0.5, 1.0], [0.9, x]]}}
+    with pytest.raises(ValueError) as expected:
+        _dumps(value)
+    with pytest.raises(ValueError) as got:
+        _json(value, "\n")
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, object(), [b"x"], {1: 2}, {"a": 1, 2: 3}],
+                         ids=["np-int", "set", "object", "bytes", "int-key", "mixed-keys"])
+def test_report_encoder_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value, "\n")
 
 
 @pytest.mark.parametrize(
@@ -538,6 +612,30 @@ def test_help_text(capsys, monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+# the benchmark's recorded commands, read only
+CLI_REFS = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "cli_refs.json").read_text(encoding="utf-8")
+)["cases"]
+
+DISPATCH_ARGV = [
+    *(case["argv"] for case in GOLDEN + HELP_GOLDEN + CLI_REFS),
+    *(argv for argv, _ in MALFORMED_INPUT),
+    # no command, a misspelled one, an abbreviated --help and a stray argument
+    [],
+    ["--help"],
+    ["seminor"],
+    ["classify", "--he"],
+    ["classify", "--alpha", "1", "--beta", "0.5", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv)[:80] or "no-argv")
+def test_command_parser_alone_writes_what_the_top_level_parser_writes(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = _with_input_files(tmp_path, argv)
+    assert run(capsys, *argv) == run_reference(capsys, *argv)
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):

@@ -192,11 +192,20 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
          "SymbolGBeta requires a PowerSeries h, got list"),
         (lambda: SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=None),
          "SymbolGBeta requires a PowerSeries h, got NoneType"),
+        (lambda: SymbolGBeta(terms=5, beta=1.0), "SymbolGBeta requires terms that are (a_j, b_j) pairs, got 5"),
+        (lambda: SymbolGBeta(terms=(5,), beta=1.0),
+         "SymbolGBeta requires terms that are (a_j, b_j) pairs, got (5,)"),
+        (lambda: SymbolGBeta(terms=((1.0,),), beta=1.0),
+         "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0,),)"),
+        (lambda: SymbolGBeta(terms=((1.0, 1.0, 1.0),), beta=1.0),
+         "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0, 1.0, 1.0),)"),
     ],
-    ids=["ragged-series", "ragged-scalar-and-list", "ragged-radii", "list-h", "none-h"],
+    ids=["ragged-series", "ragged-scalar-and-list", "ragged-radii", "list-h", "none-h",
+         "int-terms", "int-term", "one-number-term", "three-number-term"],
 )
 def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
-    # a ragged list ended in numpy's own ValueError, and a list h built a
-    # symbol whose value_at_zero() then raised AttributeError
+    # a ragged list ended in numpy's own ValueError, a list h built a symbol
+    # whose value_at_zero() then raised AttributeError, and terms that are not
+    # pairs ended in TypeError (not iterable) or ValueError (unpacking)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

@@ -95,6 +95,11 @@ def test_symbol_rejects_strings_and_booleans(terms, bad):
         SymbolGBeta(terms=terms, beta=0.0)
 
 
+def test_symbol_reads_terms_given_as_an_iterator_once():
+    # the type check used up the iterator, and the symbol was built with no terms
+    assert SymbolGBeta(terms=iter([(1.0, 1.0)]), beta=1.0) == SymbolGBeta.beta_cesaro(1.0)
+
+
 def test_symbol_json_text_is_pinned():
     s = SymbolGBeta(terms=((1 + 2j, -1.0),), beta=0.5, h=PowerSeries([0.25, -1j, 1 / 3 + 2.5e10j]))
     assert s.to_json() == (
