@@ -14,9 +14,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_no_bool, check_real
+from .errors import DomainError, check_array, check_integer, check_real
 from .bounds import compare
-from .series import PowerSeries, ps_derivative, tail_estimate
+from .series import PowerSeries, _pairs, ps_derivative, tail_estimate
 
 DEFAULT_N_RADIAL = 64
 DEFAULT_N_ANGULAR = 128
@@ -72,14 +72,7 @@ class SampleGrid:
     n_angles: int
 
     def __post_init__(self):
-        try:
-            r = np.asarray(self.radii)
-        except ValueError:  # a ragged list
-            raise DomainError("SampleGrid requires a rectangular array of radii") from None
-        if r.dtype.kind not in "iuf":
-            raise DomainError(f"SampleGrid requires real radii, got dtype {r.dtype}")
-        check_no_bool("SampleGrid", "real radii", self.radii)
-        r = r.astype(float)
+        r = check_array("SampleGrid", "real", "radii", self.radii).astype(float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("radii must be a nonempty vector")
         if not np.all(np.isfinite(r)):
@@ -192,7 +185,7 @@ class SeminormEstimate:
     def to_dict(self) -> dict:
         return {
             "value": self.value,
-            "argmax": [self.argmax.real, self.argmax.imag],
+            "argmax": _pairs(self.argmax),
             "max_tail": self.max_tail,
             "n_excluded": self.n_excluded,
         }
@@ -303,7 +296,7 @@ def growth_bound(p: BlochParams, r: float | np.ndarray, seminorm: float, f0: flo
     r is a radius or an array of radii; the result is a float or an array
     of the same shape.
     """
-    r = np.asarray(r, dtype=float)
+    r = check_array("growth_bound", "real", "radii", r).astype(float)
     if not np.all((r >= 0) & (r < 1)):
         raise DomainError("growth_bound requires 0 <= r < 1")
     a = p.alpha

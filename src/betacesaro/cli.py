@@ -39,7 +39,7 @@ from .operators import (
     preimage_under_cesaro,
     symbol_spectrum,
 )
-from .series import _TAIL_WINDOW, DEFAULT_ORDER, PowerSeries
+from .series import _TAIL_WINDOW, DEFAULT_ORDER, PowerSeries, _pairs
 
 SCHEMA = "bcl-report/1"
 
@@ -94,8 +94,9 @@ def _float_list(text: str) -> str:
 
 
 # The largest --N and --m-max.  `matrix` costs the most at a given order,
-# about 570 B per entry of its N x N report: 603 MB peak RSS and 10 s at
-# this cap on a 2-core Xeon, and about 9.6 GB at N = 4096.  `compactness`
+# about 360 B per entry of its N x N JSON report: in-process, 390 MiB peak
+# RSS and 3.8-4.7 s at this cap on a 2-core Xeon, and about 6 GB at
+# N = 4096 (its CSV report: 292 MiB and 1.3-1.6 s).  `compactness`
 # stores member m of its family at order max(N, 2m), about 16 m_max^2 bytes
 # in all: in-process, `--m-max 1024` takes 1.7 s and peaks at 69 MB RSS.
 MAX_ORDER = 1024
@@ -198,7 +199,7 @@ def _json(value, indent: str) -> str:
 
 def _emit(args, result: dict, csv_view) -> None:
     if args.format == "csv":
-        header, rows = csv_view
+        header, rows = csv_view(result)
         if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
             raise DomainError("report holds a non-finite number")
         buf = io.StringIO()
@@ -223,59 +224,44 @@ def _emit(args, result: dict, csv_view) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def _series_csv(f: PowerSeries):
-    return ["n", "re", "im"], [[n, c.real, c.imag] for n, c in enumerate(f.coeffs)]
-
-
 def _seminorm(args):
     f = _series_from_args(args)
     # pad polynomials so trailing zeros mark them tail-free on the grid
     f = f.truncate(f.order + _TAIL_WINDOW)
-    est = seminorm_estimate(f, BlochParams(args.alpha), _grid_from_args(args))
-    row = [est.value, est.argmax.real, est.argmax.imag, est.max_tail]
-    return est.to_dict(), (["value", "argmax_re", "argmax_im", "max_tail"], [row]), EXIT_OK
+    return seminorm_estimate(f, BlochParams(args.alpha), _grid_from_args(args)).to_dict(), EXIT_OK
 
 
 def _apply(args):
     f = _series_from_args(args)
     if args.order is not None:
         f = f.truncate(args.order)
-    out = apply_generalized(f, _symbol_from_args(args))
-    return out.to_dict(), _series_csv(out), EXIT_OK
+    return apply_generalized(f, _symbol_from_args(args)).to_dict(), EXIT_OK
 
 
 def _matrix(args):
     m = operator_matrix(_symbol_from_args(args), _order(args))
-    entries = [[[c.real, c.imag] for c in row] for row in m.entries.tolist()]
-    rows = [[f"{re!r}" if im == 0 else f"{re!r}{im:+}j" for re, im in row] for row in entries]
-    return {"size": m.size, "entries": entries}, (None, rows), EXIT_OK
+    return {"size": m.size, "entries": _pairs(m.entries)}, EXIT_OK
 
 
 def _spectrum(args):
-    spec = symbol_spectrum(_symbol_from_args(args), _order(args))
-    pairs = [[ev.real, ev.imag] for ev in spec]
-    return {"eigenvalues": pairs}, (["re", "im"], pairs), EXIT_OK
+    return {"eigenvalues": _pairs(symbol_spectrum(_symbol_from_args(args), _order(args)))}, EXIT_OK
 
 
 def _eigenfunction(args):
-    psi = eigenfunction_psi(_symbol_from_args(args), args.n, _order(args))
-    return psi.to_dict(), _series_csv(psi), EXIT_OK
+    return eigenfunction_psi(_symbol_from_args(args), args.n, _order(args)).to_dict(), EXIT_OK
 
 
 def _classify(args):
-    c = classify(args.alpha, args.beta).to_dict()
-    return c, (["verdict", "source"], [[c["verdict"], c["source"]]]), EXIT_OK
+    return classify(args.alpha, args.beta).to_dict(), EXIT_OK
 
 
 def _bound(args):
-    value = bound_constant(args.alpha, args.beta)
-    return {"constant": value}, (["constant"], [[value]]), EXIT_OK
+    return {"constant": bound_constant(args.alpha, args.beta)}, EXIT_OK
 
 
 def _counterexample(args):
     report = counterexample_probe(args.alpha, args.beta, args.which, default_probe_ts(args.tmax))
-    code = EXIT_OK if report.verdict == "diverges" else EXIT_VERDICT
-    return report.to_dict(), (["t", "value"], report.samples), code
+    return report.to_dict(), EXIT_OK if report.verdict == "diverges" else EXIT_VERDICT
 
 
 def _compactness(args):
@@ -283,8 +269,7 @@ def _compactness(args):
     grid = _grid_from_args(args)
     fam = null_family("monomial", args.m_max, p, grid, order=_order(args))
     report = compactness_probe(_symbol_from_args(args), p, fam, grid)
-    code = EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
-    return report.to_dict(), (["m", "image_norm"], report.samples), code
+    return report.to_dict(), EXIT_OK if report.verdict == "compact-consistent" else EXIT_VERDICT
 
 
 def _essnorm(args):
@@ -298,8 +283,7 @@ def _essnorm(args):
         {"dilation": d, "max_distance": v, "argmax_member": lab}
         for (d, v), lab in zip(report.samples, report.labels)
     ]
-    code = EXIT_OK if report.verdict == "essential-norm-zero-consistent" else EXIT_VERDICT
-    return result, (["dilation", "max_distance"], report.samples), code
+    return result, EXIT_OK if report.verdict == "essential-norm-zero-consistent" else EXIT_VERDICT
 
 
 def _preimage(args):
@@ -308,8 +292,31 @@ def _preimage(args):
     roundtrip = apply_beta_cesaro(f, 1.0)
     n = min(g.order, roundtrip.order)
     err = float(np.max(np.abs(roundtrip.coeffs[: n + 1] - g.coeffs[: n + 1])))
-    code = EXIT_OK if err <= 1e-10 else EXIT_VERDICT
-    return {**f.to_dict(), "roundtrip_max_error": err}, _series_csv(f), code
+    return {**f.to_dict(), "roundtrip_max_error": err}, EXIT_OK if err <= 1e-10 else EXIT_VERDICT
+
+
+# CSV views: each reads its command's table from the command's JSON result
+def _series_csv(result):
+    return ["n", "re", "im"], [[n, *c] for n, c in enumerate(result["coeffs"])]
+
+
+def _seminorm_csv(result):
+    row = [result["value"], *result["argmax"], result["max_tail"]]
+    return ["value", "argmax_re", "argmax_im", "max_tail"], [row]
+
+
+def _matrix_csv(result):
+    entries = result["entries"]
+    return None, [[f"{re!r}" if im == 0 else f"{re!r}{im:+}j" for re, im in row] for row in entries]
+
+
+def _fields_csv(*fields):
+    return lambda result: (list(fields), [[result[f] for f in fields]])
+
+
+def _rows_csv(field, *header):
+    """The view whose rows are the result's `field`, a list of rows."""
+    return lambda result: (list(header), result[field])
 
 
 # -- command table -----------------------------------------------------------
@@ -339,12 +346,19 @@ _SERIES = (
 _ORDER = _arg("--N", dest="order", type=_truncation_order)
 _ALPHA = _arg("--alpha", type=_finite_float, required=True)
 _BETA = _arg("--beta", type=_finite_float, required=True)
+_WHICH = _arg("--which", choices=WITNESSES, required=True)
+_TMAX = _arg("--tmax", type=_finite_float, default=0.9999)
+_M_MAX = _arg("--m-max", dest="m_max", type=_up_to_max_order("m_max"), default=32)
+_DILATIONS = _arg(
+    "--dilations", type=_float_list, default="0.5,0.9,0.99,0.999", help="comma-separated, increasing"
+)
 
 
 class _Command(NamedTuple):
     help: str
     arguments: tuple
-    run: Callable  # args -> (result, (csv header, csv rows), exit status)
+    run: Callable  # args -> (result, exit status)
+    csv: Callable  # result -> (csv header or None, csv rows)
 
 
 COMMANDS = {
@@ -352,65 +366,55 @@ COMMANDS = {
         "estimate the weighted-derivative seminorm",
         (_ALPHA, *_OUTPUT, *_GRID, *_SERIES),
         _seminorm,
+        _seminorm_csv,
     ),
     "apply": _Command(
-        "apply the operator to a series", (*_OUTPUT, *_SYMBOL, *_SERIES, _ORDER), _apply
+        "apply the operator to a series", (*_OUTPUT, *_SYMBOL, *_SERIES, _ORDER), _apply, _series_csv
     ),
     "matrix": _Command(
-        "coefficient matrix of the operator", (*_OUTPUT, *_SYMBOL, _ORDER), _matrix
+        "coefficient matrix of the operator", (*_OUTPUT, *_SYMBOL, _ORDER), _matrix, _matrix_csv
     ),
     "spectrum": _Command(
-        "eigenvalues of the truncated matrix", (*_OUTPUT, *_SYMBOL, _ORDER), _spectrum
+        "eigenvalues of the truncated matrix",
+        (*_OUTPUT, *_SYMBOL, _ORDER),
+        _spectrum,
+        _rows_csv("eigenvalues", "re", "im"),
     ),
     "eigenfunction": _Command(
         "candidate eigenfunction factor",
         (_arg("--n", type=int, required=True), *_OUTPUT, *_SYMBOL, _ORDER),
         _eigenfunction,
+        _series_csv,
     ),
-    "classify": _Command("bounded/unbounded/compact verdict", (_ALPHA, _BETA, *_OUTPUT), _classify),
-    "bound": _Command("certified operator-norm constant", (_ALPHA, _BETA, *_OUTPUT), _bound),
+    "classify": _Command(
+        "bounded/unbounded/compact verdict",
+        (_ALPHA, _BETA, *_OUTPUT),
+        _classify,
+        _fields_csv("verdict", "source"),
+    ),
+    "bound": _Command(
+        "certified operator-norm constant", (_ALPHA, _BETA, *_OUTPUT), _bound, _fields_csv("constant")
+    ),
     "counterexample": _Command(
         "divergence probe along (0, 1)",
-        (
-            _ALPHA,
-            _BETA,
-            _arg("--which", choices=WITNESSES, required=True),
-            _arg("--tmax", type=_finite_float, default=0.9999),
-            *_OUTPUT,
-        ),
+        (_ALPHA, _BETA, _WHICH, _TMAX, *_OUTPUT),
         _counterexample,
+        _rows_csv("samples", "t", "value"),
     ),
     "compactness": _Command(
         "null-family image-norm decay probe",
-        (
-            _ALPHA,
-            _arg("--m-max", dest="m_max", type=_up_to_max_order("m_max"), default=32),
-            *_OUTPUT,
-            *_GRID,
-            *_SYMBOL,
-            _ORDER,
-        ),
+        (_ALPHA, _M_MAX, *_OUTPUT, *_GRID, *_SYMBOL, _ORDER),
         _compactness,
+        _rows_csv("samples", "m", "image_norm"),
     ),
     "essnorm": _Command(
         "distance to dilation approximants",
-        (
-            _ALPHA,
-            _arg(
-                "--dilations",
-                type=_float_list,
-                default="0.5,0.9,0.99,0.999",
-                help="comma-separated, increasing",
-            ),
-            *_OUTPUT,
-            *_GRID,
-            *_SYMBOL,
-            _ORDER,
-        ),
+        (_ALPHA, _DILATIONS, *_OUTPUT, *_GRID, *_SYMBOL, _ORDER),
         _essnorm,
+        _rows_csv("samples", "dilation", "max_distance"),
     ),
     "preimage": _Command(
-        "explicit preimage under the Cesaro operator", (*_OUTPUT, *_SERIES), _preimage
+        "explicit preimage under the Cesaro operator", (*_OUTPUT, *_SERIES), _preimage, _series_csv
     ),
 }
 
@@ -453,8 +457,9 @@ def main(argv=None) -> int:
         # an overflow becomes inf or nan, which PowerSeries and _emit reject
         # with one line; numpy's warning would add lines before it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result, csv_view, code = COMMANDS[args.command].run(args)
-            _emit(args, result, csv_view)
+            command = COMMANDS[args.command]
+            result, code = command.run(args)
+            _emit(args, result, command.csv)
         return code
     except _ParserExit as exc:
         return exc.args[0]

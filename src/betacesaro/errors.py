@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of its integer
-and real arguments."""
+"""Exception types shared across the package, and the checks of its integer,
+real and array arguments."""
 
 import math
 import numbers
@@ -45,11 +45,18 @@ def check_real(where: str, name: str, value, low: float = -math.inf, high: float
     return x
 
 
-def check_no_bool(where: str, name: str, value) -> None:
-    """Reject a list or tuple holding a Python or numpy bool at any depth:
-    numpy casts [True, 0.5] to float64, where a dtype test cannot see it.
-    Any other input, an ndarray among them, is left to the dtype test."""
+def check_array(where: str, kind: str, name: str, value) -> np.ndarray:
+    """value as an array of `kind` ("real", or "numeric" with complex) `name`.
+    A ragged list, another dtype and a bool in a list or tuple at any depth
+    are DomainErrors: numpy casts [True, 0.5] to float64, hiding the bool."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise DomainError(f"{where} requires a rectangular array of {name}") from None
+    if a.dtype.kind not in {"real": "iuf", "numeric": "iufc"}[kind]:
+        raise DomainError(f"{where} requires {kind} {name}, got dtype {a.dtype}")
     if isinstance(value, (list, tuple)):
         for x in np.asarray(value, dtype=object).flat:
             if isinstance(x, (bool, np.bool_)):
-                raise DomainError(f"{where} requires {name}, got {x!r}")
+                raise DomainError(f"{where} requires {kind} {name}, got {x!r}")
+    return a

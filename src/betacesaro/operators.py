@@ -23,6 +23,7 @@ from .series import (
     UNIT_TOL,
     PowerSeries,
     _coefficient,
+    _pairs,
     binomial_series,
     ps_derivative,
     ps_div_by_z,
@@ -58,9 +59,12 @@ class SymbolGBeta:
                if not isinstance(x, numbers.Complex) or isinstance(x, bool)]
         if bad:
             raise DomainError(f"SymbolGBeta requires numeric a_j and b_j, got {bad[0]!r}")
-        terms = tuple((complex(a), complex(b)) for a, b in pairs)
-        # a NaN would pass the comparisons below silently
-        if not all(cmath.isfinite(x) for t in terms for x in t):
+        # an int too large for a float is infinite; a NaN would pass the checks below
+        try:
+            terms = tuple((complex(a), complex(b)) for a, b in pairs)
+        except OverflowError:
+            terms = None
+        if terms is None or not all(cmath.isfinite(x) for t in terms for x in t):
             raise DomainError("symbol weights a_j and points b_j must be finite")
         for a, b in terms:
             if abs(a) == 0:
@@ -88,21 +92,10 @@ class SymbolGBeta:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "terms": [
-                    {"a": [a.real, a.imag], "b_angle": math.atan2(b.imag, b.real)}
-                    for a, b in self.terms
-                ],
-                "beta": self.beta,
-                "h": self.h.to_dict(),
-            }
-        )
-
     @staticmethod
     def from_json(text: str) -> "SymbolGBeta":
-        """Parse the format written by to_json; any other shape is a DomainError."""
+        """Parse a symbol file, {"terms": [{"a": a_j, "b_angle": arg b_j}, ...],
+        "beta": beta, "h": {"coeffs": [...]}}; any other shape is a DomainError."""
         where = "SymbolGBeta.from_json"
         try:
             data = json.loads(text)
@@ -231,9 +224,9 @@ class SpectrumReport:
 
     def to_dict(self) -> dict:
         return {
-            "base": [self.base.real, self.base.imag],
+            "base": _pairs(self.base),
             "n_max": self.n_max,
-            "leading": [[ev.real, ev.imag] for ev in self.leading],
+            "leading": _pairs(self.leading),
         }
 
 

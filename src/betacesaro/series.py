@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_no_bool, check_real
+from .errors import DomainError, check_array, check_integer, check_real
 
 DEFAULT_ORDER = 256
 
@@ -46,15 +46,9 @@ class PowerSeries:
     _seminorm: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            c = np.asarray(self.coeffs)
-        except ValueError:  # a ragged list
-            raise DomainError("PowerSeries requires a rectangular array of coefficients") from None
-        # one dtype test, no loop on an array: strings and booleans are not
-        # coefficients; a list or tuple is searched for the bools numpy casts
-        if c.dtype.kind not in "iufc":
-            raise DomainError(f"PowerSeries requires numeric coefficients, got dtype {c.dtype}")
-        check_no_bool("PowerSeries", "numeric coefficients", self.coeffs)
+        c = check_array("PowerSeries", "numeric", "coefficients", self.coeffs)
+        if c.ndim > 1:  # a nested list is not read as [re, im] pairs, nor flattened
+            raise DomainError(f"PowerSeries requires a scalar or vector of coefficients, got shape {c.shape}")
         c = c.reshape(-1).astype(np.complex128)
         if c.size == 0:
             raise DomainError("a power series needs at least the constant term")
@@ -119,7 +113,7 @@ class PowerSeries:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"coeffs": [[c.real, c.imag] for c in self.coeffs.tolist()]}
+        return {"coeffs": _pairs(self.coeffs)}
 
     @staticmethod
     def from_pairs(pairs) -> "PowerSeries":
@@ -136,6 +130,13 @@ def _coefficient(p, where: str = "PowerSeries.from_pairs", name: str = "coeffici
     if isinstance(p, (list, tuple)) and len(p) == 2:
         return complex(check_real(where, name, p[0]), check_real(where, name, p[1]))
     return complex(check_real(where, name, p))
+
+
+def _pairs(values) -> list:
+    """Complex values as [re, im] pairs of floats, nested as the array of
+    them is; the inverse of `_coefficient`."""
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def binomial_series(beta: float, b: complex, order: int) -> PowerSeries:

@@ -1,6 +1,7 @@
 """Acceptance references that only the tests use: each checks a statement
 of the paper, and no CLI command or library path reaches it, or keeps an
 older form of the code as the reference of the new one."""
+import json
 import math
 import sys
 
@@ -19,7 +20,7 @@ from betacesaro import (
 from betacesaro.bloch import normalize
 from betacesaro.bounds import Classification, compare
 from betacesaro.errors import check_integer, check_real
-from betacesaro.series import DEFAULT_ORDER
+from betacesaro.series import DEFAULT_ORDER, _pairs
 
 
 def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGrid) -> float:
@@ -82,6 +83,17 @@ def classify_reference(alpha: float, beta: float) -> Classification:
     )
 
 
+def symbol_json(s: SymbolGBeta) -> str:
+    """The symbol file of s, the format `SymbolGBeta.from_json` reads."""
+    return json.dumps(
+        {
+            "terms": [{"a": _pairs(a), "b_angle": math.atan2(b.imag, b.real)} for a, b in s.terms],
+            "beta": s.beta,
+            "h": s.h.to_dict(),
+        }
+    )
+
+
 _TOP_LEVEL = cli.build_parser()
 
 
@@ -92,8 +104,9 @@ def main_reference(argv=None) -> int:
     try:
         args = _TOP_LEVEL.parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result, csv_view, code = cli.COMMANDS[args.command].run(args)
-            cli._emit(args, result, csv_view)
+            command = cli.COMMANDS[args.command]
+            result, code = command.run(args)
+            cli._emit(args, result, command.csv)
         return code
     except cli._ParserExit as exc:
         return exc.args[0]

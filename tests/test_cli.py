@@ -23,7 +23,7 @@ from betacesaro import (
 from betacesaro.bloch import MAX_N_ANGULAR, MAX_N_RADIAL
 from betacesaro.cli import MAX_ORDER, _emit, _json, main
 
-from .references import main_reference
+from .references import main_reference, symbol_json
 
 
 def run(capsys, *argv):
@@ -59,7 +59,7 @@ def test_classify_report(capsys):
 
 def test_spectrum_from_symbol_file(capsys, tmp_path):
     path = tmp_path / "cesaro.json"
-    path.write_text(SymbolGBeta.beta_cesaro(1.0).to_json())
+    path.write_text(symbol_json(SymbolGBeta.beta_cesaro(1.0)))
     report = run_json(capsys, "spectrum", "--symbol", str(path), "--N", "4")
     evs = [complex(re, im) for re, im in report["result"]["eigenvalues"]]
     np.testing.assert_allclose(evs, [1, 0.5, 1 / 3, 0.25])
@@ -520,6 +520,33 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_report(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out.encode() == case["stdout"].encode()
+
+
+def _golden_pairs():
+    """(JSON case, CSV case) for each argv recorded in both formats."""
+    by_argv = {tuple(case["argv"]): case for case in GOLDEN}
+    csv_argv = [argv for argv in by_argv if argv[-2:] == ("--format", "csv")]
+    return [(by_argv[(*argv[:-1], "json")], by_argv[argv]) for argv in csv_argv]
+
+
+@pytest.mark.parametrize("json_case, csv_case", _golden_pairs(), ids=lambda case: " ".join(case["argv"]))
+def test_csv_golden_is_the_view_of_the_json_golden_result(capsys, json_case, csv_case):
+    result = json.loads(json_case["stdout"])["result"]
+    _emit(argparse.Namespace(format="csv", out=None), result, cli.COMMANDS[json_case["argv"][0]].csv)
+    assert capsys.readouterr().out.encode() == csv_case["stdout"].encode()
+
+
+def _no_view(result):
+    raise AssertionError("a JSON report built its CSV rows")
+
+
+@pytest.mark.parametrize("case", [pair[0] for pair in _golden_pairs()], ids=lambda case: " ".join(case["argv"]))
+def test_json_report_builds_no_csv_rows(capsys, monkeypatch, case):
+    for name, command in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(csv=_no_view))
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out.encode() == case["stdout"].encode()

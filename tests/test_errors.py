@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betacesaro import (
     BlochParams,
@@ -22,6 +25,7 @@ from betacesaro import (
     default_test_family,
     eigenfunction_psi,
     essential_norm_probe,
+    growth_bound,
     null_family,
     operator_matrix,
     point_spectrum,
@@ -187,7 +191,20 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
     [
         (lambda: PowerSeries([[1, 2], [3]]), "PowerSeries requires a rectangular array of coefficients"),
         (lambda: PowerSeries([0.5, [1.0]]), "PowerSeries requires a rectangular array of coefficients"),
+        (lambda: PowerSeries([[0, 1], [2, 3]]),
+         "PowerSeries requires a scalar or vector of coefficients, got shape (2, 2)"),
         (lambda: SampleGrid([[0.1], [0.2, 0.3]], 4), "SampleGrid requires a rectangular array of radii"),
+        (lambda: growth_bound(PARAMS, "abc", 1.0, 0.0), "growth_bound requires real radii, got dtype <U3"),
+        (lambda: growth_bound(PARAMS, 0.5j, 1.0, 0.0),
+         "growth_bound requires real radii, got dtype complex128"),
+        (lambda: growth_bound(PARAMS, False, 1.0, 0.0), "growth_bound requires real radii, got dtype bool"),
+        (lambda: growth_bound(PARAMS, [0.5, False], 1.0, 0.0), "growth_bound requires real radii, got False"),
+        (lambda: growth_bound(PARAMS, [[0.1], [0.2, 0.3]], 1.0, 0.0),
+         "growth_bound requires a rectangular array of radii"),
+        (lambda: SymbolGBeta(terms=((10**400, 1.0),), beta=1.0),
+         "symbol weights a_j and points b_j must be finite"),
+        (lambda: SymbolGBeta(terms=((1.0, 10**400),), beta=1.0),
+         "symbol weights a_j and points b_j must be finite"),
         (lambda: SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=[1, 2]),
          "SymbolGBeta requires a PowerSeries h, got list"),
         (lambda: SymbolGBeta(terms=((1.0, 1.0),), beta=1.0, h=None),
@@ -200,12 +217,65 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
         (lambda: SymbolGBeta(terms=((1.0, 1.0, 1.0),), beta=1.0),
          "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0, 1.0, 1.0),)"),
     ],
-    ids=["ragged-series", "ragged-scalar-and-list", "ragged-radii", "list-h", "none-h",
-         "int-terms", "int-term", "one-number-term", "three-number-term"],
+    ids=["ragged-series", "ragged-scalar-and-list", "matrix-series", "ragged-radii",
+         "string-r", "complex-r", "bool-r", "bool-in-r", "ragged-r", "huge-int-a", "huge-int-b",
+         "list-h", "none-h", "int-terms", "int-term", "one-number-term", "three-number-term"],
 )
 def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
     # a ragged list ended in numpy's own ValueError, a list h built a symbol
     # whose value_at_zero() then raised AttributeError, and terms that are not
-    # pairs ended in TypeError (not iterable) or ValueError (unpacking)
+    # pairs ended in TypeError (not iterable) or ValueError (unpacking); a
+    # matrix of coefficients was flattened, growth_bound read a bool radius as
+    # 0 or 1 and ended in numpy's ValueError or TypeError on a string or a
+    # complex one, and an int too large for a float ended in OverflowError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# any value a caller might pass: numbers of every kind and range, strings,
+# bytes, None, numpy scalars and arrays of every scalar dtype, and lists,
+# tuples and dicts of them, nested
+_NUMBER = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**400]),
+    st.floats(),
+    st.complex_numbers(),
+)
+_ANY_LEAF = st.one_of(
+    _NUMBER,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.sampled_from([np.True_, np.float16(0.5), np.int8(-3), np.uint64(2**63), np.complex64(1j),
+                     np.datetime64("2000-01-01"), object(), {1, 2}]),
+    hnp.arrays(hnp.scalar_dtypes() | hnp.byte_string_dtypes() | hnp.unicode_string_dtypes(),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+)
+_ANY = st.recursive(
+    _ANY_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+_CONSTRUCTORS = {
+    "PowerSeries": lambda draw: PowerSeries(draw(_ANY)),
+    "SampleGrid": lambda draw: SampleGrid(draw(_ANY), draw(_ANY)),
+    "SymbolGBeta": lambda draw: SymbolGBeta(
+        terms=draw(_ANY | st.lists(st.tuples(_NUMBER | _ANY, _NUMBER | _ANY), max_size=3)),
+        beta=draw(_NUMBER | _ANY),
+        h=draw(_ANY | st.just(PowerSeries([0.5]))),
+    ),
+}
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_CONSTRUCTORS)), data=st.data())
+def test_constructors_build_or_raise_domain_error(name, data):
+    # Python's and numpy's own errors (TypeError, OverflowError, a plain
+    # ValueError) fail the property; the rows above pin each one it found
+    try:
+        _CONSTRUCTORS[name](data.draw)
+    except DomainError:
+        pass
