@@ -25,12 +25,13 @@ DEFAULT_R_MAX = 0.999
 # Caps on the grid counts `default_grid` (and so the CLI) accepts.  A grid
 # keeps its ring table r^k (8 B) for k <= n_angular on each of n_radial + 1
 # rings, 8.4 MB at the caps, built once by libm in about 230 ms there (no
-# benchmark workload runs the caps); an evaluation adds about 32 B per point
-# of temporaries, and `default_grid` keeps at most GRID_CACHE_SIZE grids
+# benchmark workload runs the caps); an evaluation adds at most 32 B per point
+# of temporaries (an estimate over the whole grid at the caps peaks at 25 MB,
+# 24 B per point), and `default_grid` keeps at most GRID_CACHE_SIZE grids
 # alive, so at most 34 MB of tables.  An evaluation also builds the block
 # powers (r^A)^q, 8 B per ring per block of A coefficients; they outgrow the
-# (rings x A) output only past 2A blocks, a long series on few angles:
-# 1025 rings at A = 1 and order 1024 take 8.4 MB, as much as the ring table.
+# (rings x A) output only past 2A blocks, a long series on few angles: 1025
+# rings at A = 1 and order 1024 take 8.4 MB, as much as the ring table.
 MAX_N_RADIAL = 1024
 MAX_N_ANGULAR = 1024
 GRID_CACHE_SIZE = 4
@@ -201,19 +202,19 @@ class ProbeVerdict:
 def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> SeminormEstimate:
     """Max over the grid of (1-|z|^2)^alpha |f'(z)|, with tail screening.
 
-    Radii are visited in increasing order; a radius is excluded once the
-    tail estimate of the derivative exceeds TAIL_EXCLUSION * (1 + best so
-    far).  The tail estimate grows with the radius and the best value only
-    moves on kept radii, so once a radius is excluded every larger one is
-    too: the kept radii are a prefix.  `argmax` is the first maximizing grid
-    point in (radius, angle) order, so among tied points rounding decides.
+    Radii are visited in increasing order; ring i is kept while the tail
+    estimate of the derivative there is at most TAIL_EXCLUSION * (1 + the
+    largest value on the rings before it), and the first ring that fails
+    ends the kept prefix.  `argmax` is the first maximizing grid point in
+    (radius, angle) order over the kept rings, so among tied points
+    rounding decides.
 
-    Only kept rings are evaluated, in passes.  A pass runs from the first
-    unevaluated ring up to the first ring whose tail exceeds the bound set
-    by the best value before the pass; the best value before any ring of
-    the pass is at least that large, so every ring of the pass is kept.  The
-    screening stops at the first ring that fails the bound right at the
-    start of a pass.
+    The rings are evaluated once, up to a cap: on the disk
+    (1-|z|^2)^alpha |f'(z)| <= sum |d_k| over the derivative's coefficients,
+    so no value can lift the screen's bound past TAIL_EXCLUSION * (1 + 2 *
+    that sum), the factor 2 covering the rounding of the sum, the fold and
+    the FFT.  The first ring whose tail exceeds it would fail the screen
+    whatever came before, so the rings from it on are never evaluated.
 
     The last estimate is kept on f, and a call with equal params and the
     same grid object returns it without evaluating again; any other call
@@ -229,38 +230,33 @@ def seminorm_estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> Seminorm
 
 def _estimate(f: PowerSeries, p: BlochParams, g: SampleGrid) -> SeminormEstimate:
     d = ps_derivative(f)
-    weights = g.weights(p.alpha)
     tails = tail_estimate(d, g.radii)
     n_radii, n_angles = g.radii.size, g.n_angles
-
-    tops = []  # (value, ring, angle) of the first maximizing point of each pass
-    best = 0.0
-    n_kept = 0
-    while n_kept < n_radii:
-        over = tails[n_kept:] > TAIL_EXCLUSION * (1.0 + best)
-        stop = n_kept + int(np.argmax(over)) if over.any() else n_radii
-        if stop == n_kept:
-            break
-        rings = slice(n_kept, stop)
-        prods = weights[rings, None] * np.abs(_eval_on_rings(d, g, rings))
-        k = int(np.argmax(prods))
-        i, j = divmod(k, n_angles)
-        tops.append((prods[i, j], n_kept + i, j))
-        best = np.maximum(best, prods[i, j])
-        n_kept = stop
-
+    with np.errstate(over="ignore"):  # an infinite sum caps nothing
+        cap_bound = TAIL_EXCLUSION * (1.0 + 2.0 * np.abs(d.coeffs).sum())
+    cap = _first(tails > cap_bound, n_radii)
+    prods = np.abs(_eval_on_rings(d, g, slice(0, cap)))
+    prods *= g.weights(p.alpha)[:cap, None]
+    ring_max = prods.max(axis=1)
+    best_before = np.concatenate(([0.0], np.maximum.accumulate(ring_max)[:-1]))
+    n_kept = _first(tails[:cap] > TAIL_EXCLUSION * (1.0 + best_before), cap)
     n_excluded = (n_radii - n_kept) * n_angles
     if n_kept == 0:
         return SeminormEstimate(value=0.0, argmax=0j, max_tail=0.0, n_excluded=n_excluded)
-    # np.argmax picks the first pass holding the maximum, as over the whole grid
-    value, i, j = tops[int(np.argmax([top[0] for top in tops]))]
-    value = float(value)
+    i = int(np.argmax(ring_max[:n_kept]))
+    j = int(np.argmax(prods[i]))
+    value = float(prods[i, j])
     return SeminormEstimate(
         value=value,
         argmax=g.point(i, j) if value > 0 else 0j,
         max_tail=float(tails[:n_kept].max()),
         n_excluded=n_excluded,
     )
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """The index of the first True in mask, or default if there is none."""
+    return int(np.argmax(mask)) if mask.any() else default
 
 
 def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSeries, float]:
@@ -294,11 +290,14 @@ def growth_bound(p: BlochParams, r: float | np.ndarray, seminorm: float, f0: flo
     alpha > 1: f0 + (seminorm / (alpha-1)) * ((1-r)^(1-alpha) - 1)
 
     r is a radius or an array of radii; the result is a float or an array
-    of the same shape.
+    of the same shape; seminorm and f0 are finite reals >= 0.
     """
     r = check_array("growth_bound", "real", "radii", r).astype(float)
     if not np.all((r >= 0) & (r < 1)):
         raise DomainError("growth_bound requires 0 <= r < 1")
+    for name, value in (("seminorm", seminorm), ("f0", f0)):
+        if check_real("growth_bound", name, value) < 0:
+            raise DomainError(f"growth_bound requires {name} >= 0, got {value}")
     a = p.alpha
     regime = compare(a, 1.0)
     if regime < 0:

@@ -510,7 +510,7 @@ def test_seminorm_matches_the_concatenating_screen_bit_for_bit(seed, alpha, beta
 def test_seminorm_later_pass_tying_the_maximum_keeps_the_first_point(monkeypatch):
     # f = 3z has f' = 3 on every ring, and the weight rounds to 1 at
     # r = 1e-9, so rings 0 and 1 tie at 3; the tail set on ring 1 fails the
-    # screen at best 0 but not at best 3, so ring 1 opens a second pass
+    # screen at best 0 but not at best 3, so ring 1 is kept only after ring 0
     g = SampleGrid(radii=np.array([0.0, 1e-9, 0.5]), n_angles=8)
     monkeypatch.setattr(bloch, "tail_estimate", lambda f, r: np.array([0.0, 1.5e-6, 0.0]))
     passes = []
@@ -522,11 +522,87 @@ def test_seminorm_later_pass_tying_the_maximum_keeps_the_first_point(monkeypatch
     monkeypatch.setattr(bloch, "_eval_on_rings", recording)
     f, p = PowerSeries([0, 3]).truncate(32), BlochParams(1.0)
     est = seminorm_estimate(f, p, g)
-    assert passes == [(0, 1), (1, 3)]
+    assert passes == [(0, 3)]
     assert g.weights(1.0)[1] == 1.0
     assert est.value == 3.0
     assert est.argmax == grid_points(g)[0, 0]
     assert _as_tuple(est) == _seminorm_estimate_before(f, p, g)
+
+
+def test_seminorm_tie_along_a_ring_keeps_the_first_angle():
+    # f = 3z: |f'| = 3 at every angle of each ring, and the weight falls
+    # with r, so all 8 points of the innermost ring (r = 0.5) tie
+    g = SampleGrid(radii=np.array([0.5, 0.6]), n_angles=8)
+    f, p = PowerSeries([0, 3]).truncate(32), BlochParams(1.0)
+    est = seminorm_estimate(f, p, g)
+    assert est.argmax == g.point(0, 0)
+    assert _as_tuple(est) == _prefix_screen_reference(f, p, g)
+
+
+def _recording_rings(monkeypatch):
+    """Record the (start, stop) of every `_eval_on_rings` call from here on."""
+    calls = []
+
+    def recording(f, grid, rings, _eval=bloch._eval_on_rings):
+        calls.append((rings.start, rings.stop))
+        return _eval(f, grid, rings)
+
+    monkeypatch.setattr(bloch, "_eval_on_rings", recording)
+    return calls
+
+
+def test_seminorm_never_evaluates_rings_past_the_cap(monkeypatch):
+    # f = 3z has f' = 3, so sum |d_k| = 3: no best value lifts the screen's
+    # bound past TAIL_EXCLUSION * 4, and the cap is at TAIL_EXCLUSION * 7.
+    # Ring 1 is kept, ring 2's tail lies between the two bounds (the screen
+    # excludes it, the cap does not), ring 3's passes the cap, and ring 4
+    # past the cap has tail 0, yet is neither evaluated nor kept
+    g = SampleGrid(radii=np.array([0.0, 0.3, 0.5, 0.7, 0.9]), n_angles=8)
+    tails = np.array([0.0, 3.5e-6, 5e-6, 7.5e-6, 0.0])
+    monkeypatch.setattr(bloch, "tail_estimate", lambda f, r: tails)
+    monkeypatch.setitem(globals(), "tail_estimate", lambda f, r: tails)  # _prefix_screen_reference's
+    calls = _recording_rings(monkeypatch)
+    f, p = PowerSeries([0, 3]).truncate(32), BlochParams(1.0)
+    est = seminorm_estimate(f, p, g)
+    assert calls == [(0, 3)]
+    assert est.n_excluded == 3 * 8
+    assert _as_tuple(est) == _seminorm_estimate_before(f, p, g) == _prefix_screen_reference(f, p, g)
+
+
+def test_seminorm_cap_is_the_whole_grid_when_the_coefficient_sum_overflows(monkeypatch):
+    # 300 derivative coefficients near 1e306 sum past the float range; the
+    # sum's overflow raises no warning, caps nothing, and the values on
+    # these rings stay finite
+    f = PowerSeries(np.concatenate(([0.0], 1e306 / np.arange(1, 301))))
+    with np.errstate(over="ignore"):
+        assert np.abs(ps_derivative(f).coeffs).sum() == math.inf
+    g = SampleGrid(radii=np.array([0.0, 0.1, 0.2, 0.3]), n_angles=8)
+    calls = _recording_rings(monkeypatch)
+    p = BlochParams(2.0)
+    est = seminorm_estimate(f, p, g)
+    assert calls == [(0, 4)]
+    assert est.n_excluded == 0 and math.isfinite(est.value)
+    assert _as_tuple(est) == _seminorm_estimate_before(f, p, g) == _prefix_screen_reference(f, p, g)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    order=st.sampled_from([64, 256, 1024]),
+)
+@settings(max_examples=20, deadline=None)
+def test_each_estimate_evaluates_rings_zero_to_the_cap_once(seed, alpha, order, coarse_grid):
+    r = np.random.default_rng(seed)
+    s = SymbolGBeta(terms=((1.0, 1.0), (r.uniform(0.2, 2.0), np.exp(1j * r.uniform(0.5, 6.0)))), beta=1.5)
+    image = apply_generalized(random_poly(r, degree=64, pad=order), s)
+    d = ps_derivative(image)
+    over = tail_estimate(d, coarse_grid.radii) > TAIL_EXCLUSION * (1.0 + 2.0 * np.abs(d.coeffs).sum())
+    cap = int(np.argmax(over)) if over.any() else coarse_grid.radii.size
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _recording_rings(monkeypatch)
+        est = seminorm_estimate(image, BlochParams(alpha), coarse_grid)
+    assert calls == [(0, cap)]
+    assert est.n_excluded >= (coarse_grid.radii.size - cap) * coarse_grid.n_angles
 
 
 def test_seminorm_excludes_untrusted_radii(grid):

@@ -201,6 +201,16 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
         (lambda: growth_bound(PARAMS, [0.5, False], 1.0, 0.0), "growth_bound requires real radii, got False"),
         (lambda: growth_bound(PARAMS, [[0.1], [0.2, 0.3]], 1.0, 0.0),
          "growth_bound requires a rectangular array of radii"),
+        (lambda: growth_bound(PARAMS, 0.5, "1.0", 0.0), "growth_bound requires a finite real seminorm, got '1.0'"),
+        (lambda: growth_bound(PARAMS, 0.5, 1j, 0.0), "growth_bound requires a finite real seminorm, got 1j"),
+        (lambda: growth_bound(PARAMS, 0.5, math.nan, 0.0), "growth_bound requires a finite real seminorm, got nan"),
+        (lambda: growth_bound(PARAMS, 0.5, True, 0.0), "growth_bound requires a finite real seminorm, got True"),
+        (lambda: growth_bound(PARAMS, 0.5, -1.0, 0.0), "growth_bound requires seminorm >= 0, got -1.0"),
+        (lambda: growth_bound(PARAMS, 0.5, 1.0, "0.0"), "growth_bound requires a finite real f0, got '0.0'"),
+        (lambda: growth_bound(PARAMS, 0.5, 1.0, 1j), "growth_bound requires a finite real f0, got 1j"),
+        (lambda: growth_bound(PARAMS, 0.5, 1.0, math.nan), "growth_bound requires a finite real f0, got nan"),
+        (lambda: growth_bound(PARAMS, 0.5, 1.0, True), "growth_bound requires a finite real f0, got True"),
+        (lambda: growth_bound(PARAMS, 0.5, 1.0, -1.0), "growth_bound requires f0 >= 0, got -1.0"),
         (lambda: SymbolGBeta(terms=((10**400, 1.0),), beta=1.0),
          "symbol weights a_j and points b_j must be finite"),
         (lambda: SymbolGBeta(terms=((1.0, 10**400),), beta=1.0),
@@ -218,7 +228,9 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
          "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0, 1.0, 1.0),)"),
     ],
     ids=["ragged-series", "ragged-scalar-and-list", "matrix-series", "ragged-radii",
-         "string-r", "complex-r", "bool-r", "bool-in-r", "ragged-r", "huge-int-a", "huge-int-b",
+         "string-r", "complex-r", "bool-r", "bool-in-r", "ragged-r",
+         "string-seminorm", "complex-seminorm", "nan-seminorm", "bool-seminorm", "negative-seminorm",
+         "string-f0", "complex-f0", "nan-f0", "bool-f0", "negative-f0", "huge-int-a", "huge-int-b",
          "list-h", "none-h", "int-terms", "int-term", "one-number-term", "three-number-term"],
 )
 def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
@@ -227,7 +239,9 @@ def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
     # pairs ended in TypeError (not iterable) or ValueError (unpacking); a
     # matrix of coefficients was flattened, growth_bound read a bool radius as
     # 0 or 1 and ended in numpy's ValueError or TypeError on a string or a
-    # complex one, and an int too large for a float ended in OverflowError
+    # complex one (its seminorm and f0 in TypeError; a NaN one returned nan,
+    # True read as 1 and a negative seminorm gave a negative bound), and an
+    # int too large for a float ended in OverflowError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
