@@ -259,20 +259,17 @@ def _first(mask: np.ndarray, default: int) -> int:
     return int(np.argmax(mask)) if mask.any() else default
 
 
-def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> tuple[PowerSeries, float]:
-    """f scaled to unit estimated seminorm, and the estimate it was scaled by.
-
-    An estimate of 0 (a constant f, or an order too low for any nonzero
-    ring to pass the tail screen) cannot be scaled to 1 and is a DomainError.
-    The estimate is taken afresh, not through `seminorm_estimate`, and is
-    not kept on f: the probe families keep their scaled members themselves,
-    and so the `seminorm_estimate` calls the benchmark's tracer counts do
-    not depend on which members a process has already built.
-    """
+def normalize(f: PowerSeries, p: BlochParams, g: SampleGrid) -> PowerSeries:
+    """f scaled to unit estimated seminorm; an estimate of 0 (a constant f,
+    or an order too low for any nonzero ring to pass the tail screen) is a
+    DomainError.  The estimate is taken afresh, not through
+    `seminorm_estimate`, and is not kept on f, so the `seminorm_estimate`
+    calls the benchmark's tracer counts do not depend on which members a
+    process has already built."""
     value = _estimate(f, p, g).value
     if value == 0:
         raise DomainError("member has zero estimated seminorm at this order")
-    return f.scale(1.0 / value), value
+    return f.scale(1.0 / value)
 
 
 def _per_element(fn, *args) -> np.ndarray:

@@ -96,9 +96,9 @@ def _float_list(text: str) -> str:
 # The largest --N and --m-max.  `matrix` costs the most at a given order,
 # about 360 B per entry of its N x N JSON report: in-process, 390 MiB peak
 # RSS and 3.8-4.7 s at this cap on a 2-core Xeon, and about 6 GB at
-# N = 4096 (its CSV report: 292 MiB and 1.3-1.6 s).  `compactness`
-# stores member m of its family at order max(N, 2m), about 16 m_max^2 bytes
-# in all: in-process, `--m-max 1024` takes 1.7 s and peaks at 69 MB RSS.
+# N = 4096 (its CSV report: 292 MiB and 1.3-1.6 s).  `compactness` stores
+# member m of its family at order max(N, 2m), about 16 m_max^2 bytes in all:
+# in-process, `--m-max 1024 --N 1024` takes 0.6-0.7 s and peaks at 64 MB RSS.
 MAX_ORDER = 1024
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bloch import BlochParams, SampleGrid, eval_on_grid, normalize, seminorm_estimate
+from .bloch import BlochParams, SampleGrid, normalize, seminorm_estimate
 from .bounds import ProbeReport, least_squares
 from .errors import DomainError, check_integer, check_real
 from .operators import SymbolGBeta, apply_generalized
@@ -23,11 +23,6 @@ from .series import DEFAULT_ORDER, PowerSeries
 
 # Probe verdicts require decay below this fraction of the initial value.
 DECAY_FACTOR = 0.1
-
-# Compact-subset check: members must fall below this sup on |z| <= 1/2.
-NULL_SUP_THRESHOLD = 1e-3
-
-_HALF_DISK = SampleGrid(np.array([0.5]), 64)
 
 # Bound on the normalized family members `_unit_member` shares across calls,
 # one per (kind, m, order, params, grid): the probes_n1024 benchmark asks for
@@ -47,12 +42,6 @@ class NullFamily:
 
     kind: str
     members: tuple[PowerSeries, ...]
-    normalization: tuple[float, ...]
-    verified_null: bool
-
-
-def _half_disk_sup(f: PowerSeries) -> float:
-    return float(np.max(np.abs(eval_on_grid(f, _HALF_DISK))))
 
 
 def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -66,11 +55,11 @@ def truncated_log_witness(order: int = DEFAULT_ORDER) -> PowerSeries:
 @lru_cache(maxsize=MEMBER_CACHE_SIZE)
 def _unit_member(
     kind: str, m: int, order: int, p: BlochParams, g: SampleGrid
-) -> tuple[PowerSeries, float]:
-    """The family member scaled to unit estimated seminorm, with that
-    seminorm, built once per key and shared (series are immutable): z^m at
-    order max(order, 2m) ("monomial"), the log witness at order ("log", m
-    unused) or its dilation by 1 - 2^-m ("dilation")."""
+) -> PowerSeries:
+    """The family member scaled to unit estimated seminorm, built once per
+    key and shared (series are immutable): z^m at order max(order, 2m)
+    ("monomial"), the log witness at order ("log", m unused) or its dilation
+    by 1 - 2^-m ("dilation")."""
     if kind == "monomial":
         f = PowerSeries.monomial(m, order=max(order, 2 * m))
     else:
@@ -84,13 +73,13 @@ def null_family(
     kind: str, m_max: int, p: BlochParams, g: SampleGrid, order: int = DEFAULT_ORDER
 ) -> NullFamily:
     """Construct the family m = 1..m_max of the given kind, normalized to
-    unit estimated seminorm, and verify the compact-subset decay numerically.
+    unit estimated seminorm.
 
     The monomial family is z^m; the dilation family is -log(1-z) dilated by
     1 - 2^-m, which rounds to 1 for m >= 54, so that family stops at 53.
     The dilation family is not null (it tends to -log(1-z), not to 0) and
     stays only because the ``probes_n1024`` benchmark workload calls it,
-    until that workload's declared change (ROADMAP item 3).
+    until that workload's declared change (ROADMAP item 2).
 
     The normalized members are shared across calls (see `_unit_member`).
     """
@@ -100,9 +89,7 @@ def null_family(
         raise DomainError(f"the dilation family needs m_max <= 53: 1 - 2^-{m_max} rounds to 1")
     if kind not in ("monomial", "dilation"):
         raise DomainError(f"unknown family kind {kind!r}")
-    members, norms = zip(*(_unit_member(kind, m, order, p, g) for m in range(1, m_max + 1)))
-    verified = _half_disk_sup(members[-1]) < NULL_SUP_THRESHOLD
-    return NullFamily(kind=kind, members=members, normalization=norms, verified_null=verified)
+    return NullFamily(kind, tuple(_unit_member(kind, m, order, p, g) for m in range(1, m_max + 1)))
 
 
 def _log_slope(x: list[float], values: list[float]) -> float | None:
@@ -162,8 +149,8 @@ def default_test_family(
     The normalized members are shared as in `null_family`."""
     m_max = check_integer("default_test_family", "m_max", m_max, 0)
     order = check_integer("default_test_family", "order", order, 0)
-    members = [_unit_member("monomial", m, order, p, g)[0] for m in range(1, m_max + 1)]
-    return members + [_unit_member("log", 0, order, p, g)[0]]
+    members = [_unit_member("monomial", m, order, p, g) for m in range(1, m_max + 1)]
+    return members + [_unit_member("log", 0, order, p, g)]
 
 
 def essential_norm_probe(

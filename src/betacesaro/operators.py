@@ -210,8 +210,12 @@ def eigenfunction_psi(s: SymbolGBeta, n: int, order: int = DEFAULT_ORDER) -> Pow
     g0 = s.value_at_zero()
     if _vanishes(g0):
         raise SpectrumEmptyError("symbol vanishes at the origin: no eigenfunctions")
+    try:
+        scale = n / g0
+    except OverflowError:  # n is an int too large for a float
+        raise DomainError(f"eigenfunction_psi requires n within the float range, got {n.bit_length()} bits") from None
     gamma = symbol_series(s, order).coeffs
-    return ps_exp(ps_integrate(PowerSeries(gamma[1:])).scale(n / g0))
+    return ps_exp(ps_integrate(PowerSeries(gamma[1:])).scale(scale))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ def approximate_eigen_probe(s: SymbolGBeta, n: int, p: BlochParams, g: SampleGri
     to 0 like 1/n, witnessing the approximate eigenvalue 0.  The unit vector
     is the monomial family's member m = n at the default order."""
     n = check_integer("approximate_eigen_probe", "n", n, 1)
-    h_n, _ = normalize(PowerSeries.monomial(n, order=max(DEFAULT_ORDER, 2 * n)), p, g)
+    h_n = normalize(PowerSeries.monomial(n, order=max(DEFAULT_ORDER, 2 * n)), p, g)
     return seminorm_estimate(apply_generalized(h_n, s), p, g).value
 
 

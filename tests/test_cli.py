@@ -274,6 +274,9 @@ MALFORMED_INPUT = [
     (["apply", "--beta", "0", "--f-file", "non-utf8.json"], "error:"),
     (["apply", "--beta", "0", "--f-file", "no-coeffs.json"], "error:"),
     (["eigenfunction", "--symbol", "g0.json", "--n", "1", "--N", "4"], "error:"),
+    # n / g(0) raised OverflowError: an int too large for a float
+    (["eigenfunction", "--beta", "0.5", "--n", "1" + "0" * 400, "--N", "4"],
+     "error: eigenfunction_psi requires n within the float range, got 1329 bits"),
     (["seminorm", "--alpha", "1", "--f", "[0, 1]", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),
     (["compactness", "--alpha", "1", "--beta", "0", "--grid-angular", str(MAX_N_ANGULAR + 1)], "error:"),
     (["essnorm", "--alpha", "1", "--beta", "0", "--grid-radial", str(MAX_N_RADIAL + 1)], "error:"),

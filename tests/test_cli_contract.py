@@ -31,7 +31,8 @@ _FLOATS = _mostly(
     st.sampled_from(["nan", "inf", "-inf", "abc", "", "1" + "0" * 400]),
 )
 _INTS = _mostly(
-    st.integers(1, 16).map(str), st.sampled_from(["0", "-1", "2.5", "1025", "abc", "", "1" + "0" * 5000])
+    st.integers(1, 16).map(str),
+    st.sampled_from(["0", "-1", "2.5", "1025", "abc", "", "1" + "0" * 400, "1" + "0" * 5000]),
 )
 
 # JSON numbers, and leaves of the wrong type: booleans, nulls, strings, an

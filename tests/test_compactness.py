@@ -19,18 +19,32 @@ from betacesaro import (
     seminorm_estimate,
     truncated_log_witness,
 )
-from betacesaro.bloch import normalize
-from betacesaro.compactness import (
-    MEMBER_CACHE_SIZE,
-    NULL_SUP_THRESHOLD,
-    _half_disk_sup,
-    _unit_member,
-)
+from betacesaro.bloch import SampleGrid, _estimate, eval_on_grid, normalize
+from betacesaro.compactness import MEMBER_CACHE_SIZE, _unit_member
 from betacesaro.series import DEFAULT_ORDER
 
 from .references import approximate_eigen_probe
 
 # ------------------------------------------------------------- null families
+
+_HALF_DISK = SampleGrid([0.5], 64)
+
+
+def half_disk_sup(f):
+    """The largest |f| sampled on |z| = 1/2, which bounds f on the half disk."""
+    return float(np.max(np.abs(eval_on_grid(f, _HALF_DISK))))
+
+
+def unscaled_member(kind, m, order=DEFAULT_ORDER):
+    """Member m of the family `kind` before its scaling to unit seminorm."""
+    if kind == "monomial":
+        return PowerSeries.monomial(m, order=max(order, 2 * m))
+    return truncated_log_witness(order).dilate(1.0 - 2.0**-m)
+
+
+def normalization(kind, m, p, g, order=DEFAULT_ORDER):
+    """The estimated seminorm member m of the family `kind` is scaled by."""
+    return _estimate(unscaled_member(kind, m, order), p, g).value
 
 
 def test_monomial_family_half_disk_decay(grid):
@@ -38,43 +52,41 @@ def test_monomial_family_half_disk_decay(grid):
     fam = null_family("monomial", 12, p, grid)
     assert fam.kind == "monomial"
     # |z|^m <= 2^-m on the half disk, divided by the normalization
-    sup = _half_disk_sup(fam.members[9])
-    assert sup <= 2**-10 / fam.normalization[9] + 1e-12
-    # 2^-10 / 0.737 sits just above the 1e-3 threshold, so the numeric
-    # null verification needs one or two more members to clear it
-    assert fam.verified_null
-    assert not null_family("monomial", 10, p, grid).verified_null
+    sup = half_disk_sup(fam.members[9])
+    assert sup <= 2**-10 / normalization("monomial", 10, p, grid) + 1e-12
+    # 2^-10 / 0.737 sits just above 1e-3, which member 12 falls below
+    assert half_disk_sup(fam.members[11]) < 1e-3 <= sup
 
 
 def test_monomial_family_first_member_is_identity(grid):
-    fam = null_family("monomial", 3, BlochParams(1.0), grid)
-    assert fam.normalization[0] == pytest.approx(1.0)
+    p = BlochParams(1.0)
+    fam = null_family("monomial", 3, p, grid)
+    assert normalization("monomial", 1, p, grid) == pytest.approx(1.0)
     np.testing.assert_allclose(fam.members[0].coeffs[:2], [0, 1])
 
 
 def test_dilation_default_base_is_log_witness(grid):
-    fam = null_family("dilation", 3, BlochParams(1.0), grid)
+    p = BlochParams(1.0)
+    fam = null_family("dilation", 3, p, grid)
     assert len(fam.members) == 3
     # member m is -log(1 - r z) / its seminorm, with r = 1 - 2^-m
     w = truncated_log_witness(256)
-    for m, (f, nrm) in enumerate(zip(fam.members, fam.normalization), start=1):
+    for m, f in enumerate(fam.members, start=1):
         want = w.coeffs * (1.0 - 2.0**-m) ** np.arange(257)
-        np.testing.assert_allclose(f.coeffs * nrm, want, rtol=1e-15)
+        np.testing.assert_allclose(f.coeffs * normalization("dilation", m, p, grid), want, rtol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
-def test_dilation_family_is_never_verified_null(alpha, grid):
+def test_dilation_family_is_not_null_on_the_half_disk(alpha, grid):
     # a known limitation, pinned: on the default grid at order 256 the last
-    # dilation of -log(1-z) keeps a half-disk sup of 0.12-0.63, far above
-    # NULL_SUP_THRESHOLD, so null_family itself flags the family as not
-    # null and no probe verdict on it can be trusted; the monomials pass
+    # dilation of -log(1-z) keeps a half-disk sup of 0.12-0.63, so the family
+    # does not tend to 0 on compact sets and no probe verdict on it can be
+    # trusted; the monomials do
     p = BlochParams(alpha)
     dilation = null_family("dilation", 32, p, grid, order=256)
-    assert not dilation.verified_null
-    assert _half_disk_sup(dilation.members[-1]) > 100 * NULL_SUP_THRESHOLD
+    assert half_disk_sup(dilation.members[-1]) > 0.1
     monomial = null_family("monomial", 32, p, grid, order=256)
-    assert monomial.verified_null
-    assert _half_disk_sup(monomial.members[-1]) <= 3e-8
+    assert half_disk_sup(monomial.members[-1]) <= 3e-8
 
 
 def test_dilation_family_stops_where_the_dilation_rounds_to_one(grid, monkeypatch):
@@ -106,7 +118,8 @@ def _families_and_probes(p, grid):
     out = []
     for kind in ("monomial", "dilation"):
         fam = null_family(kind, 2, p, grid, order=1024)
-        out.append(([f.coeffs.tobytes() for f in fam.members], fam.normalization))
+        norms = [normalization(kind, m, p, grid, 1024) for m in (1, 2)]
+        out.append(([f.coeffs.tobytes() for f in fam.members], norms))
         out.append(compactness_probe(s, p, fam, grid).to_dict())
     test_fam = default_test_family(p, grid, m_max=1, order=1024)
     out.append([f.coeffs.tobytes() for f in test_fam])
@@ -353,20 +366,20 @@ def test_unit_monomials_keep_their_bits(alpha, grid):
         return normalize(PowerSeries.monomial(m, order=max(order, 2 * m)), p, grid)
 
     fam = null_family("monomial", 40, p, grid, order=64)
-    for m, (f, nrm) in enumerate(zip(fam.members, fam.normalization), start=1):
-        want, want_nrm = unit(m, 64)
-        assert np.array_equal(f.coeffs, want.coeffs) and nrm == want_nrm
+    for m, f in enumerate(fam.members, start=1):
+        scaled = unscaled_member("monomial", m, 64).scale(1.0 / normalization("monomial", m, p, grid, 64))
+        assert np.array_equal(f.coeffs, unit(m, 64).coeffs) and np.array_equal(f.coeffs, scaled.coeffs)
     test_fam = default_test_family(p, grid, m_max=40, order=64)
     for m, f in enumerate(test_fam[:-1], start=1):
-        assert np.array_equal(f.coeffs, unit(m, 64)[0].coeffs)
-    log_unit = normalize(truncated_log_witness(64), p, grid)[0]
+        assert np.array_equal(f.coeffs, unit(m, 64).coeffs)
+    log_unit = normalize(truncated_log_witness(64), p, grid)
     assert np.array_equal(test_fam[-1].coeffs, log_unit.coeffs)
     # the acceptance reference builds its unit monomial by the same
     # expression as the library's shared member, up to m = 200
     s = SymbolGBeta.beta_cesaro(0.5)
     for n in (1, 4, 200):
-        h_n = _unit_member("monomial", n, DEFAULT_ORDER, p, grid)[0]
-        assert np.array_equal(h_n.coeffs, unit(n, DEFAULT_ORDER)[0].coeffs)
+        h_n = _unit_member("monomial", n, DEFAULT_ORDER, p, grid)
+        assert np.array_equal(h_n.coeffs, unit(n, DEFAULT_ORDER).coeffs)
         want = seminorm_estimate(apply_generalized(h_n, s), p, grid).value
         assert approximate_eigen_probe(s, n, p, grid) == want
 
@@ -390,6 +403,6 @@ def test_image_of_null_family_member_matches_direct_apply(grid):
     s = SymbolGBeta.beta_cesaro(0.5)
     out = apply_generalized(fam.members[2], s)
     direct = apply_generalized(PowerSeries.monomial(3, order=256), s).scale(
-        1.0 / fam.normalization[2]
+        1.0 / normalization("monomial", 3, p, grid)
     )
     np.testing.assert_allclose(out.coeffs, direct.coeffs, atol=1e-12)

@@ -226,12 +226,15 @@ def test_check_real_returns_a_float_and_keeps_its_bits():
          "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0,),)"),
         (lambda: SymbolGBeta(terms=((1.0, 1.0, 1.0),), beta=1.0),
          "SymbolGBeta requires terms that are (a_j, b_j) pairs, got ((1.0, 1.0, 1.0),)"),
+        (lambda: eigenfunction_psi(SymbolGBeta.beta_cesaro(0.5), 10**400, 4),
+         "eigenfunction_psi requires n within the float range, got 1329 bits"),
     ],
     ids=["ragged-series", "ragged-scalar-and-list", "matrix-series", "ragged-radii",
          "string-r", "complex-r", "bool-r", "bool-in-r", "ragged-r",
          "string-seminorm", "complex-seminorm", "nan-seminorm", "bool-seminorm", "negative-seminorm",
          "string-f0", "complex-f0", "nan-f0", "bool-f0", "negative-f0", "huge-int-a", "huge-int-b",
-         "list-h", "none-h", "int-terms", "int-term", "one-number-term", "three-number-term"],
+         "list-h", "none-h", "int-terms", "int-term", "one-number-term", "three-number-term",
+         "huge-int-n"],
 )
 def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
     # a ragged list ended in numpy's own ValueError, a list h built a symbol
@@ -241,7 +244,8 @@ def test_malformed_arrays_and_symbol_parts_raise_domain_error(call, message):
     # 0 or 1 and ended in numpy's ValueError or TypeError on a string or a
     # complex one (its seminorm and f0 in TypeError; a NaN one returned nan,
     # True read as 1 and a negative seminorm gave a negative bound), and an
-    # int too large for a float ended in OverflowError
+    # int too large for a float (a symbol term, eigenfunction_psi's n) ended in
+    # OverflowError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
