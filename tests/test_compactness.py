@@ -77,7 +77,7 @@ def test_dilation_default_base_is_log_witness(grid):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
-def test_dilation_family_is_not_null_on_the_half_disk(alpha, grid):
+def test_dilation_family_is_never_verified_null(alpha, grid):
     # a known limitation, pinned: on the default grid at order 256 the last
     # dilation of -log(1-z) keeps a half-disk sup of 0.12-0.63, so the family
     # does not tend to 0 on compact sets and no probe verdict on it can be
